@@ -94,7 +94,7 @@ def arc_report() -> None:
             f"  type ({alpha}, {beta}): r = {format_rational(result.r)}, "
             f"nu = {result.nu}, r/nu = {format_rational(result.r_bar)}, rho = {rho}"
         )
-    generators = diff_saturate(surface).algebra.generators
+    generators = diff_saturate(surface).generators
     print(f"(differential presentation: {len(generators)} weighted generators)")
 
 

@@ -8,7 +8,6 @@ from divisorial resolution data.
 
 from .arcs import (
     Arc,
-    ContactProfile,
     Hypersurface,
     MonomialParametrization,
     monomial_arc,
@@ -53,7 +52,7 @@ from .qpers import (
     check_limit_identity,
     q_persistance,
 )
-from .rees import DiffPresentation, ReesAlgebra, diff_saturate
+from .rees import ReesAlgebra, diff_saturate
 from .tseries import TPoly, TRational
 
 __version__ = "0.1.0"
@@ -62,8 +61,6 @@ __all__ = [
     "Arc",
     "BlowupRecord",
     "BudgetExhausted",
-    "ContactProfile",
-    "DiffPresentation",
     "DirectedBlowupState",
     "DocumentError",
     "Extrema",

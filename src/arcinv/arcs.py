@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -145,21 +144,6 @@ def monomial_arc(powers: Sequence[int | None]) -> Arc:
         else:
             components.append(TRational.t(k))
     return Arc(components)
-
-
-@dataclass(frozen=True)
-class ContactProfile:
-    """Contact data of one arc: its order against the maximal ideal."""
-
-    arc: Arc
-    s: int
-
-    @classmethod
-    def of(cls, arc: Arc) -> ContactProfile:
-        return cls(arc, arc.order())
-
-    def against(self, generators: Sequence[Polynomial]) -> int | float:
-        return self.arc.contact_order(generators)
 
 
 class MonomialParametrization:

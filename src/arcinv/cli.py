@@ -180,15 +180,13 @@ def _cmd_contact(job: JobSpec) -> tuple[list[str], dict, int]:
         values = [rbar_of_multiindex(data, l) for l in components]
         lines.append(f"contact level m = {job.m}, search bound {bound}")
         lines.append(
-            "fat components: "
-            + (", ".join(format_multiindex(l) for l in components) or "none")
+            "fat components: " + ", ".join(format_multiindex(l) for l in components)
         )
         for l, v in zip(components, values):
             lines.append(f"  {format_multiindex(l)}: r_bar = {format_rational(v)}")
-        if components:
-            level_delta = min(values)
-            lines.append(f"delta_{job.m} = {format_rational(level_delta)}")
-            payload["delta"] = _machine_rational(level_delta)
+        level_delta = min(values)
+        lines.append(f"delta_{job.m} = {format_rational(level_delta)}")
+        payload["delta"] = _machine_rational(level_delta)
         payload["m"] = job.m
         payload["bound"] = bound
         payload["components"] = [
@@ -196,7 +194,7 @@ def _cmd_contact(job: JobSpec) -> tuple[list[str], dict, int]:
             for l, v in zip(components, values)
         ]
     if job.m_max is not None:
-        table = delta_limit_check(data, job.m_max, job.bound)
+        table = delta_limit_check(data, job.m_max)
         lines.append(
             f"delta table m = 1..{job.m_max} "
             f"(order {format_rational(table.order)}):"
@@ -328,36 +326,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("qpers", help="rational persistance of an arc")
     p.add_argument("--surface", required=True, type=Path)
     p.add_argument("--arc", required=True, type=Path)
     p.add_argument("--n-max", type=int, help="also verify ramifications up to n")
     p.add_argument("--budget", type=int)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("nash", help="multiplicity sequence by directed blow-ups")
     p.add_argument("--surface", required=True, type=Path)
     p.add_argument("--arc", required=True, type=Path)
     p.add_argument("--budget", type=int)
-    add_common(p)
+    p.add_argument("--trace", action="store_true")
+    add_format(p)
 
     p = sub.add_parser("contact", help="fat components from resolution data")
     p.add_argument("--resolution", required=True, type=Path)
     p.add_argument("--m", type=int, help="contact level")
     p.add_argument("--m-max", type=int, help="delta table up to this level")
-    p.add_argument("--bound", type=int)
-    add_common(p)
+    p.add_argument("--bound", type=int, help="side of the --m search box (>= m)")
+    add_format(p)
 
     p = sub.add_parser("bounds", help="bounds on the normalized order")
     p.add_argument("--resolution", required=True, type=Path)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--bound", type=int)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
     p.add_argument("suite", nargs="?", default="all")
@@ -367,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--budget", type=int)
-    add_common(p)
+    p.add_argument("--trace", action="store_true")
+    add_format(p)
 
     return parser
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -189,11 +188,12 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     """Minimal multi-indices with contact >= m against the maximal ideal.
 
     These index the irreducible fat components of the contact locus at level
-    m for toric-style data.  The search is confined to the box l_i <= bound;
-    a warning is emitted if a minimal element touches the box boundary, since
-    a larger bound could then reveal smaller elements.  The output is
-    deduplicated (equal valuation vectors describe the same divisorial set)
-    and sorted.
+    m for toric-style data.  The search scans the box l_i <= bound.  Every
+    minimal element lies in the slab m <= l . c < m + c_i, whose entries are
+    at most m, so any bound >= m gives the same answer; and the slab is never
+    empty, since ceil(m / c_i) * e_i is in it for every c_i > 0.  The output
+    is deduplicated (equal valuation vectors describe the same divisorial
+    set) and sorted.
     """
     if data.coord_val is None:
         raise PreconditionError(
@@ -223,12 +223,6 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
         if any(l[i] and contact - data.c[i] >= m for i in range(n)):
             continue
         candidates.append(l)
-    if not candidates:
-        warnings.warn(
-            f"no multi-index with contact >= {m} fits in the box bound {bound}",
-            stacklevel=2,
-        )
-        return []
 
     valuation = {
         l: tuple(_dot(l, row) for row in data.coord_val) for l in candidates
@@ -251,29 +245,12 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
                 break
         if not strictly_dominated:
             minimal.append(l)
-    if any(x == bound for l in minimal for x in l):
-        warnings.warn(
-            f"a minimal multi-index touches the box boundary {bound}; "
-            "enlarge the bound to be sure nothing is missed",
-            stacklevel=2,
-        )
     return minimal
 
 
-def delta(data: ResolutionData, m: int, bound: int | None = None) -> Fraction | float:
-    """Smallest normalized order among the fat components at contact level m.
-
-    The default search box has side m + max(c): minimal multi-indices have
-    entries at most m, so this is complete with room to spare and the box
-    boundary warning stays quiet on legitimate inputs.
-    """
-    effective = m + max(data.c) if bound is None else max(bound, m)
-    components = fat_components(data, m, effective)
-    if not components:
-        raise PreconditionError(
-            f"no fat components found at level {m} within bound {effective}"
-        )
-    return min(rbar_of_multiindex(data, l) for l in components)
+def delta(data: ResolutionData, m: int) -> Fraction | float:
+    """Smallest normalized order among the fat components at contact level m."""
+    return min(rbar_of_multiindex(data, l) for l in fat_components(data, m, m))
 
 
 @dataclass(frozen=True)
@@ -290,9 +267,7 @@ class DeltaCheck:
     passed: bool
 
 
-def delta_limit_check(
-    data: ResolutionData, m_max: int, bound: int | None = None
-) -> DeltaCheck:
+def delta_limit_check(data: ResolutionData, m_max: int) -> DeltaCheck:
     """Confirm that delta_m converges to the order from above.
 
     Every row checks ord <= delta_m <= ord * (1 + c_max / m) where c_max is
@@ -305,7 +280,7 @@ def delta_limit_check(
     c_max = max(data.c)
     rows: list[DeltaRow] = []
     for m in range(1, m_max + 1):
-        value = delta(data, m, bound)
+        value = delta(data, m)
         ok = order <= value <= order * (1 + Fraction(c_max, m))
         rows.append(DeltaRow(m, value, ok))
     return DeltaCheck(order, tuple(rows), all(row.ok for row in rows))

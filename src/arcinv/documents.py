@@ -33,6 +33,11 @@ from .polynomials import Polynomial
 from .tseries import TPoly, TRational
 
 
+def _is_int(x: Any) -> bool:
+    """An integer that is not a JSON boolean (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DocumentError(message)
@@ -49,7 +54,7 @@ def _fraction_from_term(term: Any) -> Fraction:
     _require(isinstance(term, dict), "polynomial terms must be objects")
     num = term.get("coeff_num")
     den = term.get("coeff_den", 1)
-    _require(isinstance(num, int) and isinstance(den, int), "coefficients must be integer pairs")
+    _require(_is_int(num) and _is_int(den), "coefficients must be integer pairs")
     _require(den != 0, "coefficient denominator must be nonzero")
     return Fraction(num, den)
 
@@ -63,7 +68,7 @@ def parse_polynomial(terms: Any, variables: tuple[str, ...]) -> Polynomial:
         _require(
             isinstance(exponents, list)
             and len(exponents) == len(variables)
-            and all(isinstance(e, int) and e >= 0 for e in exponents),
+            and all(_is_int(e) and e >= 0 for e in exponents),
             f"term exponents must be {len(variables)} non-negative integers",
         )
         key = tuple(exponents)
@@ -91,7 +96,7 @@ def parse_tpoly(terms: Any) -> TPoly:
         _require(
             isinstance(exponents, list)
             and len(exponents) == 1
-            and isinstance(exponents[0], int)
+            and _is_int(exponents[0])
             and exponents[0] >= 0,
             "t-polynomial terms carry exactly one non-negative exponent",
         )
@@ -164,7 +169,7 @@ def parse_resolution(doc: Any) -> ResolutionData:
     _check_kind(doc, "resolution")
     c = doc.get("c")
     _require(
-        isinstance(c, list) and c and all(isinstance(x, int) for x in c),
+        isinstance(c, list) and c and all(_is_int(x) for x in c),
         "resolution data needs an integer vector c",
     )
     if "gens" in doc:
@@ -176,19 +181,19 @@ def parse_resolution(doc: Any) -> ResolutionData:
             d = entry.get("d")
             w = entry.get("w")
             _require(
-                isinstance(d, list) and all(isinstance(x, int) for x in d),
+                isinstance(d, list) and all(_is_int(x) for x in d),
                 "generator vectors d must be integer lists",
             )
-            _require(isinstance(w, int), "generator weights w must be integers")
+            _require(_is_int(w), "generator weights w must be integers")
             gens.append((d, w))
     elif "a" in doc:
         a = doc.get("a")
         b = doc.get("b")
         _require(
-            isinstance(a, list) and all(isinstance(x, int) for x in a),
+            isinstance(a, list) and all(_is_int(x) for x in a),
             "the vector a must be an integer list",
         )
-        _require(isinstance(b, int), "the weight b must be an integer")
+        _require(_is_int(b), "the weight b must be an integer")
         gens = [(a, b)]
     else:
         raise DocumentError("resolution data needs either 'gens' or 'a' and 'b'")
@@ -198,7 +203,7 @@ def parse_resolution(doc: Any) -> ResolutionData:
             isinstance(coord_val, list)
             and coord_val
             and all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                isinstance(row, list) and all(_is_int(x) for x in row)
                 for row in coord_val
             ),
             "coord_val must be a matrix of integers",
@@ -224,11 +229,11 @@ def _load_json(path: str | Path) -> Any:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 

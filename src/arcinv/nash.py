@@ -185,7 +185,7 @@ def nash_sequence(
     the sequence stabilizes at 1, which is useful for diagnostics.
     """
     state = init_directed(surface, arc)
-    if diff_saturate(surface).algebra.ord_along_arc(arc) == math.inf:
+    if diff_saturate(surface).ord_along_arc(arc) == math.inf:
         return NashReport((state.multiplicity,), None, True, 0, ())
     budget = max_steps if max_steps is not None else default_budget(surface, arc)
     if budget < 1:

@@ -171,11 +171,6 @@ class Polynomial:
             return math.inf
         return min(sum(e) for e in self._terms)
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
-
     def partial_derivative(self, var: int | str) -> Polynomial:
         """Formal partial derivative with respect to one variable."""
         index = self._variables.index(var) if isinstance(var, str) else var

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
 from .nash import default_budget, persistance
-from .rees import ReesAlgebra, diff_saturate
+from .rees import diff_saturate
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,12 @@ class QPersistanceResult:
         return self.r != math.inf
 
 
-def q_persistance(
-    surface: Hypersurface, arc: Arc, presentation: ReesAlgebra | None = None
-) -> QPersistanceResult:
-    """Order of the differential presentation along the arc, normalized forms.
-
-    ``presentation`` substitutes an alternative weighted presentation of the
-    same algebra; the computed orders must agree with the differential one,
-    which is how presentation independence is checked elsewhere.
-    """
+def q_persistance(surface: Hypersurface, arc: Arc) -> QPersistanceResult:
+    """Order of the differential presentation along the arc, normalized forms."""
     if not arc.lies_on(surface):
         raise PreconditionError("the arc does not lie on the hypersurface")
-    algebra = presentation if presentation is not None else diff_saturate(surface).algebra
-    if algebra.variables != surface.variables:
-        raise PreconditionError("presentation does not match the ambient variables")
     nu = arc.order()
-    r = algebra.ord_along_arc(arc)
+    r = diff_saturate(surface).ord_along_arc(arc)
     if r == math.inf:
         return QPersistanceResult(math.inf, math.inf, nu, None)
     return QPersistanceResult(r, r / nu, nu, math.floor(r))

@@ -23,9 +23,7 @@ in which they are used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .arcs import Arc, Hypersurface
@@ -94,14 +92,6 @@ class ReesAlgebra:
         return best
 
 
-@dataclass(frozen=True)
-class DiffPresentation:
-    """The differential saturation of a hypersurface in weight b."""
-
-    base: Hypersurface
-    algebra: ReesAlgebra
-
-
 def _scalar_normal_form(p: Polynomial) -> tuple:
     """A key identifying p up to a nonzero scalar factor."""
     items = p.items()
@@ -109,8 +99,7 @@ def _scalar_normal_form(p: Polynomial) -> tuple:
     return tuple((e, c / lead) for e, c in items)
 
 
-@lru_cache(maxsize=None)
-def diff_saturate(surface: Hypersurface) -> DiffPresentation:
+def diff_saturate(surface: Hypersurface) -> ReesAlgebra:
     """All iterated partials of f of order < b, each in weight b - |alpha|.
 
     Only meaningful at a singular point, so multiplicity b >= 2 is required.
@@ -147,4 +136,4 @@ def diff_saturate(surface: Hypersurface) -> DiffPresentation:
             seen.add(key)
             generators.append((g, weight))
         level = next_level
-    return DiffPresentation(surface, ReesAlgebra(generators))
+    return ReesAlgebra(generators)

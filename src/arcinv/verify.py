@@ -14,7 +14,6 @@ correctness rather than of self-consistency of a single code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -31,6 +30,7 @@ from .contact import (
     sample_multiindices,
     values_bounds,
 )
+from .errors import PreconditionError
 from .nash import nash_sequence
 from .polynomials import Polynomial
 from .qpers import check_floor_identity, check_limit_identity, q_persistance
@@ -141,7 +141,7 @@ def check_center_order() -> CheckResult:
     details = []
     from_resolution = hironaka_order(x2y3z6_resolution())
     details.append(f"resolution data: {format_rational(from_resolution)}")
-    from_diff = diff_saturate(x2y3z6_surface()).algebra.ord_at_center()
+    from_diff = diff_saturate(x2y3z6_surface()).ord_at_center()
     details.append(f"differential presentation: {format_rational(from_diff)}")
     from_hand = x2y3z6_presentation().ord_at_center()
     details.append(f"hand presentation: {format_rational(from_hand)}")
@@ -240,6 +240,8 @@ def check_delta_multiples(n_max: int = 10) -> CheckResult:
 
 def check_delta_envelope(m_max: int = 60) -> CheckResult:
     """delta_m stays in [1, 1 + 3/m] for m <= m_max, with delta_13 = 14/13."""
+    if m_max < 13:
+        raise PreconditionError("m_max must be at least 13 to pin delta_13")
     data = x2y3z6_resolution()
     result = delta_limit_check(data, m_max)
     failures = [
@@ -430,7 +432,7 @@ def check_limit_corpus(n_max: int = 20) -> CheckResult:
 def check_presentation_crosscheck(sample_count: int = 8) -> CheckResult:
     """The differential and the hand presentation give equal arc orders."""
     surface = x2y3z6_surface()
-    diff_algebra = diff_saturate(surface).algebra
+    diff_algebra = diff_saturate(surface)
     hand = x2y3z6_presentation()
     failures = []
     details = []

@@ -191,7 +191,7 @@ def prop_presentations_agree_on_arc_orders(alpha, beta, seed):
             (Polynomial(XYZ, {(0, 0, 6): 1}), 5),
         ]
     )
-    diff = diff_saturate(surface).algebra
+    diff = diff_saturate(surface)
     assert hand.ord_along_arc(arc) == diff.ord_along_arc(arc)
 
 

@@ -1,6 +1,7 @@
 """Command line behaviour: output text, machine format, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from arcinv.documents import (
 )
 from arcinv.polynomials import Polynomial
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 XYZ = ("x", "y", "z")
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
 EXAMPLE = ResolutionData.of(
@@ -179,3 +181,54 @@ def test_machine_nash_payload(docs, capsys):
     assert payload["sequence"] == [5, 5, 5, 5, 5, 5, 1]
     assert payload["rho"] == 6
     assert payload["status"] == "reached"
+
+
+def test_oversized_integer_literal_exits_2(docs, tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    text = Path(docs["surface"]).read_text()
+    huge.write_text(text.replace('"coeff_num": 1', '"coeff_num": 1' + "0" * 5000, 1))
+    code = main(["qpers", "--surface", str(huge), "--arc", docs["arc"]])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "is not valid JSON" in out
+
+
+def test_delta_envelope_needs_level_13(capsys):
+    code = main(["verify", "x2y3z6", "--m-max", "5"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "precondition violated" in out
+
+
+# Every command-line example of the README, plus a level whose components
+# touch the default --m search box.
+BUNDLED_EXAMPLES = [
+    ["qpers", "--surface", "x2y3z6_surface.json", "--arc", "arc_t6_t6_t5.json"],
+    ["qpers", "--surface", "x2y3z6_surface.json", "--arc", "arc_t6_t6_t5.json",
+     "--n-max", "8"],
+    ["nash", "--surface", "cusp_surface.json", "--arc", "cusp_arc.json", "--trace"],
+    ["contact", "--resolution", "x2y3z6_resolution.json", "--m", "13"],
+    ["contact", "--resolution", "x2y3z6_resolution.json", "--m-max", "20"],
+    ["bounds", "--resolution", "x2y3z6_resolution.json", "--samples", "500",
+     "--seed", "0"],
+    ["contact", "--resolution", "almost_rees_resolution.json", "--m", "7"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv", BUNDLED_EXAMPLES, ids=[" ".join(argv) for argv in BUNDLED_EXAMPLES]
+)
+def test_bundled_examples_run_clean(argv, capsys):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    machine = argv + ["--format", "machine"]
+    outputs = []
+    for _ in range(2):
+        assert main(machine) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])

@@ -6,11 +6,10 @@ brute-force oracle below searches the whole box and must always agree.
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from arcinv.contact import (
@@ -150,10 +149,7 @@ def test_dominates_is_a_preorder(l1, l2, l3):
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 13])
 def test_fat_components_match_the_brute_force(data, m):
     bound = m + max(data.c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = fat_components(data, m, bound)
-    assert got == brute_fat_components(data, m, bound)
+    assert fat_components(data, m, bound) == brute_fat_components(data, m, bound)
 
 
 @pytest.mark.parametrize(
@@ -177,12 +173,6 @@ def test_fat_components_frozen_odd_levels():
     assert fat_components(EXAMPLE, 11, 11) == [(1, 3), (4, 1)]
     assert fat_components(EXAMPLE, 13, 13) == [(2, 3), (5, 1)]
     assert rbar_of_multiindex(EXAMPLE, (5, 1)) == Fraction(14, 13)
-
-
-def test_fat_components_warn_at_the_box_boundary():
-    data = ResolutionData.of((1,), [((1,), 1)], coord_val=((1,),))
-    with pytest.warns(UserWarning):
-        fat_components(data, 3, 3)
 
 
 def test_delta_table_frozen():

@@ -130,6 +130,10 @@ def test_load_reports_unreadable_files(tmp_path):
         load_hypersurface(path)
     with pytest.raises(DocumentError):
         load_arc(tmp_path / "missing.json")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{")
+    with pytest.raises(DocumentError):
+        load_resolution(latin)
 
 
 def test_saved_documents_are_stable_on_disk(tmp_path):
@@ -139,3 +143,58 @@ def test_saved_documents_are_stable_on_disk(tmp_path):
     save_document(path_b, resolution_to_doc(EXAMPLE))
     assert path_a.read_bytes() == path_b.read_bytes()
     json.loads(path_a.read_text())
+
+
+def _term(num, exponents, den=1):
+    return {"coeff_num": num, "coeff_den": den, "exponents": exponents}
+
+
+@pytest.mark.parametrize(
+    "term",
+    [_term(True, [2, 3, 0]), _term(1, [2, 3, 0], den=True), _term(1, [2, False, 0])],
+    ids=["coeff_num", "coeff_den", "exponent"],
+)
+def test_hypersurface_rejects_json_booleans(term):
+    doc = hypersurface_to_doc(QUINTIC)
+    doc["polynomial"][0] = term
+    with pytest.raises(DocumentError):
+        parse_hypersurface(doc)
+
+
+@pytest.mark.parametrize(
+    "term", [_term(True, [3]), _term(1, [3], den=True), _term(1, [True])],
+    ids=["coeff_num", "coeff_den", "exponent"],
+)
+def test_arc_rejects_json_booleans(term):
+    doc = arc_to_doc(monomial_arc((3, 2, 2)))
+    doc["components"][0]["num"] = [term]
+    with pytest.raises(DocumentError):
+        parse_arc(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("c", [True, 1]),
+        ("gens", [{"d": [True, 3], "w": 1}]),
+        ("gens", [{"d": [1, 3], "w": True}]),
+        ("coord_val", [[True, 1], [1, 3], [2, 1]]),
+        ("a", [True, 3]),
+        ("b", True),
+    ],
+    ids=["c", "d", "w", "coord_val", "a", "b"],
+)
+def test_resolution_rejects_json_booleans(key, value):
+    # Every replaced entry is 1, so the document is valid with true read as 1.
+    doc = {
+        "kind": "resolution",
+        "c": [1, 1],
+        "coord_val": [[1, 1], [1, 3], [2, 1]],
+    }
+    if key in ("a", "b"):
+        doc.update({"a": [1, 3], "b": 1})
+    else:
+        doc["gens"] = [{"d": [1, 3], "w": 1}]
+    doc[key] = value
+    with pytest.raises(DocumentError):
+        parse_resolution(doc)

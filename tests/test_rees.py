@@ -62,15 +62,15 @@ def test_saturation_matches_exhaustive_sympy_derivation(surface):
     syms = sympy.symbols(surface.variables)
     ours = {
         (w, scalar_free(poly_to_sympy(g, syms), syms))
-        for g, w in pres.algebra.generators
+        for g, w in pres.generators
     }
     assert ours == sympy_derivative_presentation(surface)
 
 
 def test_saturation_sizes_frozen():
-    assert len(diff_saturate(CUSP).algebra.generators) == 3
-    assert len(diff_saturate(NODE).algebra.generators) == 3
-    quintic = diff_saturate(QUINTIC).algebra.generators
+    assert len(diff_saturate(CUSP).generators) == 3
+    assert len(diff_saturate(NODE).generators) == 3
+    quintic = diff_saturate(QUINTIC).generators
     assert len(quintic) == 15
     assert sorted(set(w for _, w in quintic)) == [1, 2, 3, 4, 5]
 
@@ -82,8 +82,8 @@ def test_saturation_requires_a_singular_point():
 
 
 def test_ord_at_center():
-    assert diff_saturate(QUINTIC).algebra.ord_at_center() == 1
-    assert diff_saturate(CUSP).algebra.ord_at_center() == 1
+    assert diff_saturate(QUINTIC).ord_at_center() == 1
+    assert diff_saturate(CUSP).ord_at_center() == 1
     hand = ReesAlgebra(
         [
             (Polynomial.coordinate(XYZ, "x"), 1),
@@ -101,15 +101,15 @@ def test_ord_at_center_rejects_points_outside_the_locus():
 
 
 def test_ord_along_arc_frozen_values():
-    quintic = diff_saturate(QUINTIC).algebra
+    quintic = diff_saturate(QUINTIC)
     assert quintic.ord_along_arc(monomial_arc((3, 2, 2))) == 2
     assert quintic.ord_along_arc(monomial_arc((6, 6, 5))) == 6
-    assert diff_saturate(CUSP).algebra.ord_along_arc(monomial_arc((3, 2))) == 3
-    assert diff_saturate(NODE).algebra.ord_along_arc(monomial_arc((1, None))) == 1
+    assert diff_saturate(CUSP).ord_along_arc(monomial_arc((3, 2))) == 3
+    assert diff_saturate(NODE).ord_along_arc(monomial_arc((1, None))) == 1
 
 
 def test_ord_along_arc_fractional():
-    quintic = diff_saturate(QUINTIC).algebra
+    quintic = diff_saturate(QUINTIC)
     # ramification scales the order linearly, including through weight 5
     arc = monomial_arc((6, 6, 5))
     assert quintic.ord_along_arc(arc.ramify(3)) == 18
@@ -122,7 +122,7 @@ def test_ord_along_arc_infinite_inside_the_locus():
 
 
 def test_ord_along_arc_checks_variables():
-    quintic = diff_saturate(QUINTIC).algebra
+    quintic = diff_saturate(QUINTIC)
     with pytest.raises(PreconditionError):
         quintic.ord_along_arc(monomial_arc((1, 1)))
 
@@ -135,7 +135,7 @@ def test_presentations_agree_on_arc_orders():
             (Polynomial(XYZ, {(0, 0, 6): 1}), 5),
         ]
     )
-    diff = diff_saturate(QUINTIC).algebra
+    diff = diff_saturate(QUINTIC)
     for powers in [(3, 2, 2), (6, 6, 5), (9, 6, 6), (12, 12, 10)]:
         arc = monomial_arc(powers)
         assert hand.ord_along_arc(arc) == diff.ord_along_arc(arc)
