@@ -6,7 +6,8 @@ all their transforms under point blow-ups stay sparse, so this is both the
 simplest and the fastest representation for the job.
 
 Coefficients are ``fractions.Fraction`` throughout.  No floats enter at any
-point, which is what makes the downstream order computations trustworthy.
+point (``exact`` refuses them), which is what makes the downstream order
+computations trustworthy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence, Union
 
-from .tseries import TPoly, TRational
+from .tseries import TPoly, TRational, exact, is_exponent
 
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
@@ -40,9 +41,9 @@ class Polynomial:
                 raise ValueError(
                     f"exponent {exponent!r} does not match {len(variables)} variables"
                 )
-            if any(not isinstance(e, int) or e < 0 for e in exponent):
+            if not all(map(is_exponent, exponent)):
                 raise ValueError(f"exponents must be non-negative integers: {exponent!r}")
-            value = Fraction(coeff)
+            value = exact(coeff)
             if value:
                 clean[exponent] = value
         self._variables = variables
@@ -131,7 +132,7 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
+            factor = exact(other)
             if not factor:
                 return Polynomial.zero(self._variables)
             return Polynomial(
@@ -191,7 +192,7 @@ class Polynomial:
             raise ValueError("translation point has the wrong number of coordinates")
         terms = self._terms
         for index, raw in enumerate(point):
-            shift = Fraction(raw)
+            shift = exact(raw)
             if not shift:
                 continue
             updated: dict[Exponent, Fraction] = {}
@@ -213,7 +214,7 @@ class Polynomial:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != len(self._variables):
             raise ValueError("evaluation point has the wrong number of coordinates")
-        values = [Fraction(v) for v in point]
+        values = [exact(v) for v in point]
         total = Fraction(0)
         for e, c in self._terms.items():
             term = c

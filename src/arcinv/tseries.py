@@ -6,10 +6,14 @@ class of these functions is closed under every operation needed here: field
 arithmetic, the order at t = 0, and the ramification substitution t -> t^n.
 Nothing is ever truncated, so all downstream order computations are exact.
 
-``TPoly`` is a sparse univariate polynomial over ``fractions.Fraction``.
+``TPoly`` holds integer numerators over one positive denominator, in lowest
+terms; one integer pseudo-division serves ``divrem`` and ``t_gcd``.
 ``TRational`` is a quotient of two ``TPoly`` kept in canonical form:
 gcd(num, den) = 1, den monic, den(0) != 0.  Canonical form makes structural
 equality coincide with mathematical equality.
+
+Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
+bool is refused rather than read as a binary expansion or as 0/1.
 """
 
 from __future__ import annotations
@@ -19,23 +23,52 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+Terms = dict[int, int]
+
+
+def exact(value: object) -> Fraction:
+    """An exact scalar as a Fraction; ValueError for floats, bools and the rest."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"not an exact scalar (int or Fraction): {value!r}")
+
+
+def is_exponent(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class TPoly:
-    """Sparse polynomial in t with rational coefficients."""
+    """Sparse polynomial in t with rational coefficients.
 
-    __slots__ = ("_terms",)
+    The coefficient of t^p is ``_nums[p] / _den``, with no zero numerators,
+    ``_den > 0`` and gcd(_den, *_nums.values()) = 1.  This form is unique.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for power, coeff in terms.items():
-                if not isinstance(power, int) or power < 0:
-                    raise ValueError(f"invalid exponent {power!r} for a power of t")
-                value = Fraction(coeff)
-                if value:
-                    clean[power] = value
-        self._terms = clean
+        coeffs: dict[int, Fraction] = {}
+        for power, coeff in (terms or {}).items():
+            if not is_exponent(power):
+                raise ValueError(f"invalid exponent {power!r} for a power of t")
+            if value := exact(coeff):
+                coeffs[power] = value
+        # Over the lcm of reduced denominators the form is already in lowest terms.
+        self._den = den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._nums = {p: c.numerator * den // c.denominator for p, c in coeffs.items()}
+
+    @classmethod
+    def _make(cls, nums: Terms, den: int = 1) -> TPoly:
+        """The polynomial with numerators nums over den, brought to lowest terms."""
+        nums = {p: c for p, c in nums.items() if c}
+        if den < 0:
+            nums, den = {p: -c for p, c in nums.items()}, -den
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            nums, den = {p: c // g for p, c in nums.items()}, den // g
+        poly = object.__new__(cls)
+        poly._nums, poly._den = nums, den
+        return poly
 
     @classmethod
     def zero(cls) -> TPoly:
@@ -60,51 +93,53 @@ class TPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return max(self._terms) if self._terms else -1
+        return max(self._nums) if self._nums else -1
 
     def order(self) -> int | float:
         """Vanishing order at t = 0; infinity for the zero polynomial."""
-        return min(self._terms) if self._terms else math.inf
+        return min(self._nums) if self._nums else math.inf
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._terms:
+        if not self._nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._terms[self.degree]
+        return Fraction(self._nums[self.degree], self._den)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._terms.items())
+        return [(p, Fraction(c, self._den)) for p, c in sorted(self._nums.items())]
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __neg__(self) -> TPoly:
-        return TPoly({p: -c for p, c in self._terms.items()})
+        return TPoly._make({p: -c for p, c in self._nums.items()}, self._den)
 
     def __add__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
-        terms = dict(self._terms)
-        for p, c in other._terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return TPoly(terms)
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        nums = {p: c * mine for p, c in self._nums.items()}
+        for p, c in other._nums.items():
+            nums[p] = nums.get(p, 0) + c * theirs
+        return TPoly._make(nums, den)
 
     def __sub__(self, other: TPoly) -> TPoly:
         return self + (-other)
@@ -114,56 +149,44 @@ class TPoly:
             return self.scale(other)
         if not isinstance(other, TPoly):
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for p, c in self._terms.items():
-            for q, d in other._terms.items():
+        nums: Terms = {}
+        for p, c in self._nums.items():
+            for q, d in other._nums.items():
                 key = p + q
-                terms[key] = terms.get(key, Fraction(0)) + c * d
-        return TPoly(terms)
+                nums[key] = nums.get(key, 0) + c * d
+        return TPoly._make(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, factor: Scalar) -> TPoly:
-        factor = Fraction(factor)
-        if not factor:
-            return TPoly()
-        return TPoly({p: c * factor for p, c in self._terms.items()})
+        factor = exact(factor)
+        nums = {p: c * factor.numerator for p, c in self._nums.items()}
+        return TPoly._make(nums, self._den * factor.denominator)
 
     def monic(self) -> TPoly:
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading_coefficient)
+        return TPoly._make(self._nums, self._nums[self.degree]) if self._nums else self
 
     def stretch(self, n: int) -> TPoly:
         """The substitution t -> t^n."""
         if n < 1:
             raise ValueError("ramification index must be a positive integer")
-        return TPoly({p * n: c for p, c in self._terms.items()})
+        return TPoly._make({p * n: c for p, c in self._nums.items()}, self._den)
 
     def evaluate(self, point: Scalar) -> Fraction:
-        point = Fraction(point)
-        return sum((c * point**p for p, c in self._terms.items()), Fraction(0))
+        point = exact(point)
+        total = sum((c * point**p for p, c in self._nums.items()), Fraction(0))
+        return total / self._den
 
     def divrem(self, divisor: TPoly) -> tuple[TPoly, TPoly]:
         """Euclidean division: self = q * divisor + r with deg r < deg divisor."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient: dict[int, Fraction] = {}
-        rem = dict(self._terms)
-        dd = divisor.degree
-        lead = divisor.leading_coefficient
-        while rem and max(rem) >= dd:
-            top = max(rem)
-            coeff = rem[top] / lead
-            quotient[top - dd] = coeff
-            for p, c in divisor._terms.items():
-                key = p + top - dd
-                value = rem.get(key, Fraction(0)) - coeff * c
-                if value:
-                    rem[key] = value
-                else:
-                    rem.pop(key, None)
-        return TPoly(quotient), TPoly(rem)
+        # s * A = Q * B + R for self = A / a and divisor = B / b gives
+        # q = Q * b / (s * a) and r = R / (s * a).
+        scale, quot, rem = _pseudo_divrem(self._nums, divisor._nums)
+        den = scale * self._den
+        quot = {p: c * divisor._den for p, c in quot.items()}
+        return TPoly._make(quot, den), TPoly._make(rem, den)
 
     def exact_div(self, divisor: TPoly) -> TPoly:
         quotient, rem = self.divrem(divisor)
@@ -172,7 +195,7 @@ class TPoly:
         return quotient
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
         for p, c in self.items():
@@ -193,59 +216,55 @@ class TPoly:
         return f"TPoly({dict(self.items())!r})"
 
 
-def _integer_profile(p: TPoly) -> dict[int, int]:
-    """Scale to integer coefficients and strip content; gcd-equivalent to p."""
-    lcm = 1
-    for _, c in p._terms.items():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    scaled = {e: int(c * lcm) for e, c in p._terms.items()}
-    content = math.gcd(*scaled.values())
-    return {e: v // content for e, v in scaled.items()}
+def _pseudo_divrem(a: Terms, b: Terms) -> tuple[int, Terms, Terms]:
+    """Integer pseudo-division: s, q, r with s * a = q * b + r, deg r < deg b.
 
-
-def _primitive_part(terms: dict[int, int]) -> dict[int, int]:
-    content = math.gcd(*terms.values())
-    return {e: v // content for e, v in terms.items()}
-
-
-def _pseudo_rem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Remainder of lc(b)^k * a modulo b, coefficients staying integral."""
+    Before each elimination step the running remainder (and quotient) is
+    multiplied by lc(b) / gcd(lc(b), top coefficient), the least factor
+    that makes the step exact over the integers, so s divides a power of
+    lc(b) and no fraction is formed (Knuth, TAOCP 2, 4.6.1).
+    """
     db = max(b)
     lead = b[db]
+    scale = 1
+    quot: Terms = {}
     rem = dict(a)
     while rem and max(rem) >= db:
         top = max(rem)
-        top_coeff = rem.pop(top)
-        for e in list(rem):
-            rem[e] *= lead
+        g = math.gcd(rem[top], lead)
+        factor = lead // g
+        if factor != 1:
+            scale *= factor
+            rem = {e: c * factor for e, c in rem.items()}
+            quot = {e: c * factor for e, c in quot.items()}
+        shift = top - db
+        quot[shift] = coeff = rem[top] // lead
         for e, c in b.items():
-            if e == db:
-                continue
-            key = e + top - db
-            value = rem.get(key, 0) - top_coeff * c
+            key = e + shift
+            value = rem.get(key, 0) - coeff * c
             if value:
                 rem[key] = value
             else:
                 rem.pop(key, None)
-    return rem
+    return scale, quot, rem
 
 
 def t_gcd(a: TPoly, b: TPoly) -> TPoly:
     """Monic greatest common divisor.
 
-    Runs a primitive pseudo-remainder sequence over the integers, which keeps
-    the coefficient sizes under control where plain fraction Euclid would
-    swell; powers of t common to both inputs are split off first.
+    Runs a primitive pseudo-remainder sequence (Collins 1967) on the integer
+    numerators, which keeps the coefficient sizes under control where plain
+    fraction Euclid would swell; powers of t common to both inputs are split
+    off first.
     """
     if a.is_zero:
         return TPoly.zero() if b.is_zero else b.monic()
     if b.is_zero:
         return a.monic()
-    shift = min(int(a.order()), int(b.order()))
-    u = _integer_profile(a)
-    v = _integer_profile(b)
-    u = {e - int(a.order()): c for e, c in u.items()}
-    v = {e - int(b.order()): c for e, c in v.items()}
+    low_a, low_b = int(a.order()), int(b.order())
+    u = {e - low_a: c for e, c in a._nums.items()}
+    v = {e - low_b: c for e, c in b._nums.items()}
+    shift = min(low_a, low_b)
     if len(u) == 1 or len(v) == 1:
         return TPoly.t(shift)
     if max(u) < max(v):
@@ -253,11 +272,10 @@ def t_gcd(a: TPoly, b: TPoly) -> TPoly:
     while v:
         if max(v) == 0:
             return TPoly.t(shift)
-        u, v = v, _pseudo_rem(u, v)
-        if v:
-            v = _primitive_part(v)
-    tail = TPoly({e + shift: c for e, c in u.items()})
-    return tail.monic()
+        rem = _pseudo_divrem(u, v)[2]
+        content = math.gcd(*rem.values())
+        u, v = v, {e: c // content for e, c in rem.items()}
+    return TPoly._make({e + shift: c for e, c in u.items()}, u[max(u)])
 
 
 def _cancel(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
@@ -274,13 +292,9 @@ class TRational:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: TPoly | Scalar, den: TPoly | Scalar | None = None):
-        if not isinstance(num, TPoly):
-            num = TPoly.constant(num)
-        if den is None:
-            den = TPoly.one()
-        elif not isinstance(den, TPoly):
-            den = TPoly.constant(den)
+    def __init__(self, num: TPoly | Scalar, den: TPoly | Scalar = 1):
+        num = num if isinstance(num, TPoly) else TPoly.constant(num)
+        den = den if isinstance(den, TPoly) else TPoly.constant(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -289,8 +303,7 @@ class TRational:
             num, den = _cancel(num, den)
             lead = den.leading_coefficient
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num, den = num.scale(1 / lead), den.monic()
         if den.constant_term == 0:
             raise ValueError(
                 "denominator vanishes at t = 0; the quotient is not a power series"
@@ -302,8 +315,7 @@ class TRational:
     def _canonical(cls, num: TPoly, den: TPoly) -> TRational:
         """Wrap a pair that is already in canonical form, skipping the gcd."""
         value = object.__new__(cls)
-        value.num = num
-        value.den = den
+        value.num, value.den = num, den
         return value
 
     @classmethod
@@ -334,8 +346,12 @@ class TRational:
         return self.num.constant_term / self.den.constant_term
 
     def ramify(self, n: int) -> TRational:
-        """The substitution t -> t^n, multiplying all orders by n."""
-        return TRational(self.num.stretch(n), self.den.stretch(n))
+        """The substitution t -> t^n, multiplying all orders by n.
+
+        Canonical in, canonical out: a Bezout identity for num and den
+        survives the substitution, and so do monic den and den(0) != 0.
+        """
+        return TRational._canonical(self.num.stretch(n), self.den.stretch(n))
 
     def _coerce(self, other: TRational | TPoly | Scalar) -> TRational | None:
         if isinstance(other, TRational):
@@ -353,7 +369,7 @@ class TRational:
     __radd__ = __add__
 
     def __neg__(self) -> TRational:
-        return TRational(-self.num, self.den)
+        return TRational._canonical(-self.num, self.den)
 
     def __sub__(self, other: TRational | TPoly | Scalar) -> TRational:
         rhs = self._coerce(other)
@@ -405,9 +421,7 @@ class TRational:
         """
         if exponent < 0:
             raise ValueError("negative powers are not used; divide explicitly")
-        result = TRational.one()
-        base = self
-        e = exponent
+        result, base, e = TRational.one(), self, exponent
         while e:
             if e & 1:
                 result = result * base

@@ -1,6 +1,7 @@
 """Command line behaviour: output text, machine format, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -212,7 +213,16 @@ BUNDLED_EXAMPLES = [
     ["bounds", "--resolution", "x2y3z6_resolution.json", "--samples", "500",
      "--seed", "0"],
     ["contact", "--resolution", "almost_rees_resolution.json", "--m", "7"],
+    ["nash", "--surface", "x2y3z6_surface.json", "--arc", "arc_sampled_1_1_0.json",
+     "--trace"],
 ]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_path(argv: list[str]) -> Path:
+    """The recorded ``--format machine`` output of one bundled example."""
+    name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(argv).replace(".json", ""))
+    return GOLDEN / (name.strip("-") + ".json")
 
 
 @pytest.mark.filterwarnings("error")
@@ -220,6 +230,7 @@ BUNDLED_EXAMPLES = [
     "argv", BUNDLED_EXAMPLES, ids=[" ".join(argv) for argv in BUNDLED_EXAMPLES]
 )
 def test_bundled_examples_run_clean(argv, capsys):
+    golden = golden_path(argv).read_text()
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -230,5 +241,5 @@ def test_bundled_examples_run_clean(argv, capsys):
         captured = capsys.readouterr()
         assert captured.err == ""
         outputs.append(captured.out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == golden
     json.loads(outputs[0])
