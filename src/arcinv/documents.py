@@ -118,8 +118,9 @@ def parse_hypersurface(doc: Any) -> Hypersurface:
     _require(
         isinstance(variables, list)
         and variables
-        and all(isinstance(v, str) for v in variables),
-        "a hypersurface needs a nonempty list of variable names",
+        and all(isinstance(v, str) for v in variables)
+        and len(set(variables)) == len(variables),
+        "a hypersurface needs a nonempty list of distinct variable names",
     )
     polynomial = parse_polynomial(doc.get("polynomial"), tuple(variables))
     try:
@@ -235,6 +236,8 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} nests too deeply to read") from exc
 
 
 def load_hypersurface(path: str | Path) -> Hypersurface:

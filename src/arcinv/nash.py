@@ -24,8 +24,11 @@ One blow-up step, in coordinates:
 * recenter: translate coordinates so the lifted arc is centered at the
   origin again, and read the next multiplicity off the recentered equation.
 
-The lifted arc is verified to stay on the transform after every step; any
-violation aborts, because it would mean the bookkeeping above lost exactness.
+``nash_sequence`` checks exactly, by a full pullback, that the lifted arc
+stays on the transform after each step with a nonzero center and at the end.
+That proves the check at every step: a center-0 step in chart u maps x^e to
+x^e' with gamma'^e' = gamma^e / gamma_u^m, so F'(gamma') = F(gamma) / gamma_u^m
+is zero iff F(gamma) was, and only translation changes coefficients.
 """
 
 from __future__ import annotations
@@ -112,7 +115,10 @@ def init_directed(surface: Hypersurface, arc: Arc) -> DirectedBlowupState:
 def blowup_step(
     state: DirectedBlowupState, tie_break: TieBreak = "s_first"
 ) -> tuple[DirectedBlowupState, BlowupRecord]:
-    """One directed blow-up: transform the equation, lift and recenter the arc."""
+    """One directed blow-up: transform the equation, lift and recenter the arc.
+
+    It leaves the membership check to ``nash_sequence`` (module docstring).
+    """
     gamma = state.lifted
     orders = [comp.t_order() for comp in gamma]
     finite = [o for o in orders if o != math.inf]
@@ -156,8 +162,6 @@ def blowup_step(
     multiplicity = transform.order_at_origin()
     if multiplicity == math.inf or multiplicity < 1:
         raise RuntimeError("recentered transform does not vanish at the new center")
-    if transform.compose_order(lifted) != math.inf:
-        raise RuntimeError("the lifted arc left the strict transform")
     record = BlowupRecord(state.step + 1, variables[chart], center, int(multiplicity))
     new_state = DirectedBlowupState(transform, lifted, state.step + 1, int(multiplicity))
     return new_state, record
@@ -182,7 +186,8 @@ def nash_sequence(
     maximal multiplicity locus never drop; that situation is detected up
     front through the differential presentation and reported as infinite.
     With ``stop_at_drop=False`` the iteration continues past the drop until
-    the sequence stabilizes at 1, which is useful for diagnostics.
+    the sequence stabilizes at 1, which is useful for diagnostics.  Membership
+    is checked after translating steps and at the end (module docstring).
     """
     state = init_directed(surface, arc)
     if diff_saturate(surface).ord_along_arc(arc) == math.inf:
@@ -194,15 +199,19 @@ def nash_sequence(
     sequence = [m0]
     trace: list[BlowupRecord] = []
     rho: int | None = None
-    while state.step < budget:
+    while True:
         state, record = blowup_step(state, tie_break)
         sequence.append(state.multiplicity)
         trace.append(record)
         if rho is None and state.multiplicity < m0:
             rho = state.step
-            if stop_at_drop:
-                break
-        if not stop_at_drop and state.multiplicity == 1:
+        stop = rho is not None if stop_at_drop else state.multiplicity == 1
+        done = stop or state.step >= budget
+        if (done or any(record.center)) and (
+            state.transform.compose_order(state.lifted) != math.inf
+        ):
+            raise RuntimeError("the lifted arc left the strict transform")
+        if done:
             break
     return NashReport(tuple(sequence), rho, False, budget, tuple(trace))
 

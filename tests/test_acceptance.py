@@ -130,15 +130,15 @@ def prop_sequences_nonincreasing(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(binomial_cases)
-def prop_equation_vanishes_at_every_step(case):
+@given(binomial_cases, st.sampled_from(["s_first", "lowest_index"]))
+def prop_equation_vanishes_at_every_step(case, tie_break):
     surface, arc = case
     state = init_directed(surface, arc)
     for _ in range(40):
         assert state.transform.compose_order(state.lifted) == math.inf
         if state.multiplicity == 1:
             break
-        state, _ = blowup_step(state)
+        state, _ = blowup_step(state, tie_break)
 
 
 @settings(max_examples=200, deadline=None)

@@ -194,6 +194,26 @@ def test_oversized_integer_literal_exits_2(docs, tmp_path, capsys):
     assert "is not valid JSON" in out
 
 
+def test_repeated_variable_names_exit_2(docs, tmp_path, capsys):
+    doc = hypersurface_to_doc(QUINTIC)
+    doc["variables"] = ["x", "x", "z"]
+    path = tmp_path / "repeated.json"
+    save_document(path, doc)
+    code = main(["qpers", "--surface", str(path), "--arc", docs["arc"]])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "distinct variable names" in out
+
+
+def test_deeply_nested_json_exits_2(docs, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code = main(["nash", "--surface", docs["surface"], "--arc", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "nests too deeply" in out
+
+
 def test_delta_envelope_needs_level_13(capsys):
     code = main(["verify", "x2y3z6", "--m-max", "5"])
     out = capsys.readouterr().out

@@ -73,6 +73,10 @@ def test_malformed_documents_rejected():
         parse_arc({"kind": "arc", "components": "nope"})
     with pytest.raises(DocumentError):
         parse_resolution({"kind": "resolution", "c": [2, 3]})
+    doc = hypersurface_to_doc(QUINTIC)
+    doc["variables"] = ["x", "x", "z"]
+    with pytest.raises(DocumentError):
+        parse_hypersurface(doc)
 
 
 def test_float_coefficients_rejected():
@@ -134,6 +138,10 @@ def test_load_reports_unreadable_files(tmp_path):
     latin.write_bytes(b"\xff{")
     with pytest.raises(DocumentError):
         load_resolution(latin)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    with pytest.raises(DocumentError):
+        load_arc(nested)
 
 
 def test_saved_documents_are_stable_on_disk(tmp_path):

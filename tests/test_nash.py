@@ -1,12 +1,18 @@
 """Directed blow-up engine and the multiplicity sequence."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import arcinv.nash
 from arcinv.arcs import Arc, Hypersurface, monomial_arc
 from arcinv.errors import BudgetExhausted, PreconditionError
 from arcinv.nash import (
+    DirectedBlowupState,
     default_budget,
     graph_variable,
     init_directed,
@@ -15,7 +21,8 @@ from arcinv.nash import (
     persistance,
 )
 from arcinv.polynomials import Polynomial
-from arcinv.tseries import TRational
+from arcinv.tseries import TPoly, TRational
+from arcinv.verify import sampled_arc, x2y3z6_parametrization
 
 XYZ = ("x", "y", "z")
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
@@ -123,3 +130,148 @@ def test_tiebreak_does_not_change_the_sequence():
 def test_unknown_tiebreak_rejected():
     with pytest.raises(ValueError):
         nash_sequence(CUSP, monomial_arc((3, 2)), tie_break="alphabetical")
+
+
+def _on_quintic(u, v):
+    """The arc (u^3, v^2, u v) on QUINTIC, for u, v given by coefficient lists."""
+    return x2y3z6_parametrization().arc([TPoly.from_coeffs(u), TPoly.from_coeffs(v)])
+
+
+# Arcs whose runs mix center-0 and translating steps in s and coordinate
+# charts; small integer coefficients keep the perturbed pullbacks cheap.
+ARCS_ON_SURFACES = [
+    (CUSP, monomial_arc((3, 2))),
+    (NODE, monomial_arc((1, None))),
+    (QUINTIC, monomial_arc((3, 2, 2))),
+    (QUINTIC, monomial_arc((6, 6, 5))),
+    (QUINTIC, _on_quintic([0, 0, 1, 1], [0, 0, 0, 1, -2])),
+    (QUINTIC, _on_quintic([0, 1, 1], [0, 1, -2])),
+    (QUINTIC, _on_quintic([0, 1, 1], [0, 0, 1, -2])),
+]
+
+
+@st.composite
+def perturbed_states(draw):
+    """A state whose arc gamma + t^N delta misses the surface at order >= N."""
+    surface, arc = draw(st.sampled_from(ARCS_ON_SURFACES))
+    n = draw(st.integers(2, 10))
+    deltas = [
+        TRational(TPoly.from_coeffs(draw(st.lists(st.integers(-3, 3), max_size=2))))
+        for _ in arc.components
+    ]
+    lifted = tuple(
+        comp + delta * TRational.t(n) for comp, delta in zip(arc.components, deltas)
+    ) + (TRational.t(),)
+    transform = surface.f.extend_variables((graph_variable(surface),))
+    return DirectedBlowupState(transform, lifted, 0, surface.multiplicity), n
+
+
+@settings(max_examples=50, deadline=None)
+@given(perturbed_states(), st.sampled_from(["s_first", "lowest_index"]))
+def test_each_step_divides_the_pullback_by_the_chart_component(case, tie_break):
+    """F'(gamma') * gamma_u^m == F(gamma) exactly, also where F(gamma) != 0.
+
+    This identity is what lets ``nash_sequence`` skip the membership check
+    on center-0 steps, so it is tested on arcs that are not on the surface.
+    """
+    state, n = case
+    pullback = state.transform.compose(state.lifted)
+    assume(not pullback.is_zero)
+    assert pullback.t_order() >= n
+    while state.multiplicity > 1:
+        try:
+            after, record = blowup_step(state, tie_break)
+        except RuntimeError:  # the new center is off the transform
+            break
+        pivot = state.lifted[state.transform.variables.index(record.chart)]
+        after_pullback = after.transform.compose(after.lifted)
+        assert after_pullback * pivot**state.multiplicity == pullback
+        state, pullback = after, after_pullback
+
+
+@pytest.mark.parametrize(
+    "arc, max_steps, corrupted, caught",
+    [
+        (monomial_arc((6, 6, 5)), None, 1, 5),  # center-0 step, next check at 5
+        (sampled_arc(1, 1, 0), None, 5, 5),  # translating step, checked at once
+        (monomial_arc((6, 6, 5)), 2, 1, 2),  # center-0 run cut by the budget
+    ],
+    ids=["center-0-step", "translating-step", "final-state"],
+)
+def test_deferred_check_catches_a_corrupted_state(
+    monkeypatch, arc, max_steps, corrupted, caught
+):
+    """Add s^K (K >= multiplicity) to one step's transform; see where it fails."""
+    taken = []
+
+    def corrupting_step(state, tie_break):
+        new_state, record = blowup_step(state, tie_break)
+        taken.append(new_state.step)
+        if new_state.step == corrupted:
+            s = Polynomial.coordinate(new_state.transform.variables, "s")
+            transform = new_state.transform + s ** (new_state.multiplicity + 40)
+            new_state = dataclasses.replace(new_state, transform=transform)
+        return new_state, record
+
+    monkeypatch.setattr(arcinv.nash, "blowup_step", corrupting_step)
+    with pytest.raises(RuntimeError, match="left the strict transform"):
+        nash_sequence(QUINTIC, arc, max_steps=max_steps, tie_break="s_first")
+    assert taken[-1] == caught
+
+
+def _taylor(comp, k):
+    """Coefficients c_0..c_k of the power series num/den, by series division."""
+    num, den = dict(comp.num.items()), dict(comp.den.items())
+    coeffs: list[Fraction] = []
+    for j in range(k + 1):
+        known = sum(den.get(i, 0) * coeffs[j - i] for i in range(1, j + 1))
+        coeffs.append((num.get(j, 0) - known) / den[0])
+    return coeffs
+
+
+def jet_multiplicities(surface, arc, length):
+    """m_k = ord_(x,s) f(j_k gamma(s) + s^k x) - (m_0 + ... + m_{k-1}).
+
+    An oracle for the multiplicity sequence under ``s_first`` with no
+    blow-ups: the step-k centers are the Taylor coefficients of the arc.
+    """
+    s_name = graph_variable(surface)
+    variables = surface.variables + (s_name,)
+    x = [Polynomial.coordinate(variables, v) for v in surface.variables]
+    s = Polynomial.coordinate(variables, s_name)
+    sequence: list[int] = []
+    for k in range(length):
+        images = []
+        for comp, xi in zip(arc.components, x):
+            jet = Polynomial.zero(variables)
+            for j, c in enumerate(_taylor(comp, k)):
+                jet = jet + s**j * c
+            images.append(jet + s**k * xi)
+        g = Polynomial.zero(variables)
+        for exponent, coeff in surface.f.items():
+            term = Polynomial.constant(variables, coeff)
+            for image, e in zip(images, exponent):
+                term = term * image**e
+            g = g + term
+        sequence.append(g.order_at_origin() - sum(sequence))
+    return tuple(sequence)
+
+
+@pytest.mark.parametrize(
+    "surface, arc",
+    [
+        (CUSP, monomial_arc((3, 2))),
+        (NODE, monomial_arc((1, None))),
+        (QUINTIC, monomial_arc((3, 2, 2))),
+        (QUINTIC, monomial_arc((6, 6, 5))),
+        (QUINTIC, sampled_arc(1, 1, 0)),
+        (QUINTIC, sampled_arc(1, 0, 0)),
+        (QUINTIC, sampled_arc(0, 1, 0)),
+        (QUINTIC, sampled_arc(2, 1, 0)),
+    ],
+    ids=["cusp", "node", "t3-t2-t2", "t6-t6-t5", "sampled-1-1", "sampled-1-0",
+         "sampled-0-1", "sampled-2-1"],
+)
+def test_jet_oracle_gives_the_multiplicity_sequence(surface, arc):
+    sequence = nash_sequence(surface, arc, stop_at_drop=False).sequence
+    assert jet_multiplicities(surface, arc, len(sequence)) == sequence
