@@ -15,6 +15,7 @@ choice of coefficients, which is what makes seeded random sampling safe.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -193,17 +194,11 @@ class MonomialParametrization:
             raise PreconditionError(
                 "parametrization has the wrong number of coordinates"
             )
-        collected: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in surface.f.terms.items():
-            key = tuple(
-                sum(row[j] * exp[j] for j in range(len(exp))) for row in self.exponents
-            )
-            value = collected.get(key, Fraction(0)) + coeff
-            if value:
-                collected[key] = value
-            else:
-                collected.pop(key, None)
-        if collected:
+        image = surface.f.map_exponents(
+            lambda e: [sum(map(operator.mul, row, e)) for row in self.exponents],
+            [f"u{i}" for i in range(self.parameter_count)],
+        )
+        if not image.is_zero:
             raise PreconditionError(
                 "parametrization does not satisfy the hypersurface equation"
             )

@@ -32,9 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import BudgetExhausted, PreconditionError
 
 MultiIndex = tuple[int, ...]
+# Most box points a contact search may scan: about 14 s on a 2-vCPU Xeon VM.
+MAX_BOX_POINTS = 10**7
+
+
+def _over_box_limit(search: str) -> BudgetExhausted:
+    return BudgetExhausted(MAX_BOX_POINTS, f"{search} has over {MAX_BOX_POINTS} points")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -127,15 +133,6 @@ class ResolutionData:
             if any(d[i] for d, _ in self.gens)
         )
 
-    @property
-    def is_almost_rees(self) -> bool:
-        return len(self.gens) == 1
-
-    @property
-    def b(self) -> int | None:
-        """The weight in the single-generator case, else None."""
-        return self.gens[0][1] if self.is_almost_rees else None
-
 
 def _check_multiindex(data: ResolutionData, l: Sequence[int]) -> MultiIndex:
     l = tuple(l)
@@ -193,7 +190,7 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     at most m, so any bound >= m gives the same answer; and the slab is never
     empty, since ceil(m / c_i) * e_i is in it for every c_i > 0.  The output
     is deduplicated (equal valuation vectors describe the same divisorial
-    set) and sorted.
+    set) and sorted.  A box over ``MAX_BOX_POINTS`` raises ``BudgetExhausted``.
     """
     if data.coord_val is None:
         raise PreconditionError(
@@ -209,6 +206,8 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
             raise PreconditionError(
                 f"divisor {i} has zero valuation on every coordinate"
             )
+    if (bound + 1) ** n > MAX_BOX_POINTS:
+        raise _over_box_limit(f"the search box {bound + 1}^{n}")
 
     # A multi-index with l_i >= 1 and contact still >= m after removing one
     # copy of divisor i is dominated by that smaller index, so minimal
@@ -272,10 +271,14 @@ def delta_limit_check(data: ResolutionData, m_max: int) -> DeltaCheck:
 
     Every row checks ord <= delta_m <= ord * (1 + c_max / m) where c_max is
     the largest maximal ideal multiplicity; the upper envelope comes from
-    rounding the contact level up to a multiple of a single divisor.
+    rounding the contact level up to a multiple of a single divisor.  Boxes
+    over ``MAX_BOX_POINTS`` in all raise ``BudgetExhausted`` before level 1.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
+    boxes = ((m + 1) ** data.num_divisors for m in range(1, m_max + 1))
+    if any(total > MAX_BOX_POINTS for total in itertools.accumulate(boxes)):
+        raise _over_box_limit(f"the delta table for m = 1..{m_max}")
     order = hironaka_order(data)
     c_max = max(data.c)
     rows: list[DeltaRow] = []
@@ -309,37 +312,19 @@ def hironaka_order(data: ResolutionData) -> Fraction | float:
 def values_bounds(data: ResolutionData) -> tuple[Fraction | float, Fraction | float]:
     """Exact bounds for the normalized order over all multi-indices.
 
-    For a single generator (a, b) these are min and max over supported
-    divisors of a_i / (b * c_i).  For several generators the lower bound is
-    the order at the center and the upper bound is the smallest, over
-    generators, of the largest per-divisor ratio; both come from the mediant
-    inequality.  The bounds are guaranteed sharp envelopes whenever every
-    generator satisfies d >= w * c componentwise, which holds for genuine
-    presentations of ideals inside the maximal ideal.
+    The lower bound is the order at the center and the upper bound is the
+    smallest, over generators, of the largest per-divisor ratio; both come
+    from the mediant inequality.  For a single generator (a, b) these are the
+    min and max over supported divisors of a_i / (b * c_i).  The bounds are
+    guaranteed sharp envelopes whenever every generator satisfies d >= w * c
+    componentwise, which holds for genuine presentations of ideals inside the
+    maximal ideal.
     """
-    if data.is_almost_rees:
-        a, b = data.gens[0]
-        ratios: list[Fraction | float] = []
-        for i in data.contact_support:
-            if data.c[i] == 0:
-                ratios.append(math.inf)
-            else:
-                ratios.append(Fraction(a[i], b * data.c[i]))
-        return min(ratios), max(ratios)
-    lower = hironaka_order(data)
-    per_gen: list[Fraction | float] = []
+    upper: Fraction | float = math.inf
     for d, w in data.gens:
-        worst: Fraction | float = Fraction(0)
-        for i in range(data.num_divisors):
-            if data.c[i] == 0:
-                if d[i]:
-                    worst = math.inf
-                continue
-            ratio = Fraction(d[i], w * data.c[i])
-            if ratio > worst:
-                worst = ratio
-        per_gen.append(worst)
-    return lower, min(per_gen)
+        ratios = [Fraction(x, w * c) if c else math.inf for x, c in zip(d, data.c) if x]
+        upper = min(upper, max(ratios, default=Fraction(0)))
+    return hironaka_order(data), upper
 
 
 def sample_multiindices(

@@ -17,8 +17,8 @@ One blow-up step, in coordinates:
 * chart: the lifted arc lives in the chart of a component of minimal
   t-order (ties prefer the cylinder variable s, then the lowest index),
 * equation: substitute x_j -> x_j * u for every j other than the chart
-  variable u and divide by u^m, which is exact because m is the order of the
-  transform at the center,
+  variable u and divide by u^m, i.e. map each exponent e to e' with
+  e'_u = |e| - m; exact because m is the order of the transform (checked),
 * arc: divide every other component by the chart component; regularity at
   t = 0 is guaranteed by the chart choice,
 * recenter: translate coordinates so the lifted arc is centered at the
@@ -136,17 +136,13 @@ def blowup_step(
 
     m = state.multiplicity
     variables = state.transform.variables
-    new_terms: dict[tuple[int, ...], Fraction] = {}
-    for exponent, coeff in state.transform.terms.items():
-        total = sum(exponent)
-        if total < m:
-            raise RuntimeError(
-                "strict transform division is not exact; multiplicity bookkeeping broke"
-            )
-        key = exponent[:chart] + (total - m,) + exponent[chart + 1 :]
-        assert key not in new_terms
-        new_terms[key] = coeff
-    transform = Polynomial(variables, new_terms)
+    if state.transform.order_at_origin() < m:
+        raise RuntimeError(
+            "strict transform division is not exact; multiplicity bookkeeping broke"
+        )
+    transform = state.transform.map_exponents(
+        lambda e: e[:chart] + (sum(e) - m,) + e[chart + 1 :]
+    )
 
     pivot = gamma[chart]
     lifted = tuple(

@@ -5,49 +5,63 @@ polynomial is the empty map.  The hypersurface equations treated here and
 all their transforms under point blow-ups stay sparse, so this is both the
 simplest and the fastest representation for the job.
 
-Coefficients are ``fractions.Fraction`` throughout.  No floats enter at any
-point (``exact`` refuses them), which is what makes the downstream order
-computations trustworthy.
+Coefficients are kept in the integer form of ``TPoly`` (numerators over one
+denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
+``items()`` show them as ``Fraction``s.  No floats enter at any point
+(``exact`` refuses them), which is what makes the order computations exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .tseries import TPoly, TRational, exact, is_exponent
+from .tseries import TPoly, TRational, _convolve, _format, _lcm_form, _lowest, _sum
+from .tseries import exact, is_exponent
 
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
 
 
-class Polynomial:
-    """Multivariate polynomial with named variables and Fraction coefficients."""
+def _checked(variables: Sequence[str], exponents: Iterable) -> tuple[str, ...]:
+    """The variables as a tuple, once they and every exponent are valid."""
+    variables = tuple(variables)
+    if not variables or len(set(variables)) != len(variables):
+        raise ValueError(f"variable names must be nonempty and distinct: {variables!r}")
+    for e in exponents:
+        if len(e) != len(variables) or not all(map(is_exponent, e)):
+            raise ValueError(f"exponent {e!r} is not {len(variables)} integers >= 0")
+    return variables
 
-    __slots__ = ("_variables", "_terms")
+
+def _add_exponents(e: Exponent, f: Exponent) -> Exponent:
+    return tuple(map(operator.add, e, f))
+
+
+class Polynomial:
+    """Multivariate polynomial with named variables and exact coefficients.
+
+    The coefficient of x^e is ``_nums[e] / _den``, with no zero numerators,
+    ``_den > 0`` and gcd(_den, *_nums.values()) = 1.  This form is unique.
+    """
+
+    __slots__ = ("_variables", "_nums", "_den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Scalar]):
-        variables = tuple(variables)
-        if not variables:
-            raise ValueError("a polynomial needs at least one variable")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables!r}")
-        clean: dict[Exponent, Fraction] = {}
-        for exponent, coeff in terms.items():
-            exponent = tuple(exponent)
-            if len(exponent) != len(variables):
-                raise ValueError(
-                    f"exponent {exponent!r} does not match {len(variables)} variables"
-                )
-            if not all(map(is_exponent, exponent)):
-                raise ValueError(f"exponents must be non-negative integers: {exponent!r}")
-            value = exact(coeff)
-            if value:
-                clean[exponent] = value
-        self._variables = variables
-        self._terms = clean
+        terms = {tuple(exponent): coeff for exponent, coeff in terms.items()}
+        self._variables = _checked(variables, terms)
+        self._nums, self._den = _lcm_form(terms)
+
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], nums: dict, den: int = 1) -> Polynomial:
+        """The polynomial with numerators nums over den, brought to lowest terms."""
+        poly = object.__new__(cls)
+        poly._variables = variables
+        poly._nums, poly._den = _lowest(nums, den)
+        return poly
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> Polynomial:
@@ -76,27 +90,28 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        """The underlying term map.  Treat as read-only."""
-        return self._terms
+        """A new map from exponents to nonzero Fraction coefficients."""
+        return {e: Fraction(c, self._den) for e, c in self._nums.items()}
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in a deterministic (sorted) order."""
-        return sorted(self._terms.items())
+        return [(e, Fraction(c, self._den)) for e, c in sorted(self._nums.items())]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._variables == other._variables and self._terms == other._terms
+            same_ring = self._variables == other._variables
+            return same_ring and (self._den, self._nums) == (other._den, other._nums)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._variables, frozenset(self._terms.items())))
+        return hash((self._variables, self._den, frozenset(self._nums.items())))
 
     def _check_same_variables(self, other: Polynomial) -> None:
         if self._variables != other._variables:
@@ -105,7 +120,7 @@ class Polynomial:
             )
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self._variables, {e: -c for e, c in self._terms.items()})
+        return self * -1
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -113,10 +128,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_variables(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self._variables, terms)
+        return Polynomial._make(
+            self._variables, *_sum(self._nums, self._den, other._nums, other._den)
+        )
 
     __radd__ = __add__
 
@@ -133,20 +147,14 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             factor = exact(other)
-            if not factor:
-                return Polynomial.zero(self._variables)
-            return Polynomial(
-                self._variables, {e: c * factor for e, c in self._terms.items()}
-            )
+            nums = {e: c * factor.numerator for e, c in self._nums.items()}
+            den = self._den * factor.denominator
+            return Polynomial._make(self._variables, nums, den)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_variables(other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self._variables, terms)
+        nums = _convolve(self._nums, other._nums, _add_exponents)
+        return Polynomial._make(self._variables, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -160,7 +168,7 @@ class Polynomial:
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * len(self._variables), Fraction(0))
+        return Fraction(self._nums.get((0,) * len(self._variables), 0), self._den)
 
     def order_at_origin(self) -> int | float:
         """Smallest total degree of a term; infinity for the zero polynomial.
@@ -168,101 +176,98 @@ class Polynomial:
         This is the multiplicity at the origin of the hypersurface the
         polynomial defines.
         """
-        if not self._terms:
+        if not self._nums:
             return math.inf
-        return min(sum(e) for e in self._terms)
+        return min(map(sum, self._nums))
 
     def partial_derivative(self, var: int | str) -> Polynomial:
         """Formal partial derivative with respect to one variable."""
         index = self._variables.index(var) if isinstance(var, str) else var
         if not 0 <= index < len(self._variables):
             raise ValueError(f"variable index {index} out of range")
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            key = e[:index] + (k - 1,) + e[index + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + c * k
-        return Polynomial(self._variables, terms)
+        nums = {
+            e[:index] + (e[index] - 1,) + e[index + 1 :]: c * e[index]
+            for e, c in self._nums.items()
+            if e[index]
+        }
+        return Polynomial._make(self._variables, nums, self._den)
 
     def translate(self, point: Sequence[Scalar]) -> Polynomial:
-        """The polynomial p(x + point), i.e. coordinates recentered at point."""
+        """The polynomial p(x + point), i.e. coordinates recentered at point.
+
+        A shift u/v in a variable of top power K is applied over the common
+        denominator v^K, so each binomial term stays an integer.
+        """
         if len(point) != len(self._variables):
             raise ValueError("translation point has the wrong number of coordinates")
-        terms = self._terms
-        for index, raw in enumerate(point):
-            shift = exact(raw)
-            if not shift:
+        shifts = [exact(raw) for raw in point]
+        nums, den = self._nums, self._den
+        for index, shift in enumerate(shifts):
+            if not shift or not nums:
                 continue
-            updated: dict[Exponent, Fraction] = {}
-            for e, c in terms.items():
+            top = max(e[index] for e in nums)
+            u_pow = [shift.numerator**i for i in range(top + 1)]
+            v_pow = [shift.denominator**i for i in range(top + 1)]
+            updated: dict[Exponent, int] = {}
+            for e, c in nums.items():
                 k = e[index]
                 for j in range(k + 1):
-                    coeff = c * comb(k, j) * shift ** (k - j)
                     key = e[:index] + (j,) + e[index + 1 :]
-                    value = updated.get(key, Fraction(0)) + coeff
-                    if value:
-                        updated[key] = value
-                    else:
-                        updated.pop(key, None)
-            terms = updated
-        if terms is self._terms:
+                    value = c * comb(k, j) * u_pow[k - j] * v_pow[top - k + j]
+                    updated[key] = updated.get(key, 0) + value
+            nums, den = updated, den * v_pow[top]
+        if nums is self._nums:
             return self
-        return Polynomial(self._variables, terms)
+        return Polynomial._make(self._variables, nums, den)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != len(self._variables):
             raise ValueError("evaluation point has the wrong number of coordinates")
         values = [exact(v) for v in point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = c
-            for base, k in zip(values, e):
-                if k:
-                    term *= base**k
-            total += term
-        return total
+        terms = (c * math.prod(map(pow, values, e)) for e, c in self._nums.items())
+        return sum(terms, Fraction(0)) / self._den
 
     def _compose_parts(self, values: Sequence[TRational]) -> tuple[TPoly, TPoly]:
-        """Numerator and denominator of the substitution, not normalized.
+        """Numerator and denominator of the substitution, as one integer sum.
 
-        All term numerators are put over the one common denominator
-        prod_i den_i^{max power of variable i}, so no gcd reduction happens
-        here.  The denominator never vanishes at t = 0 because none of the
-        component denominators do.
+        Value i is n(t)/a over d(t)/b in integer form, i.e. x_i = P_i / Q_i
+        with P_i = b*n and Q_i = a*d.  With D the polynomial's denominator
+        and M_i the top power of variable i,
+
+            num = sum_e c_e prod_i P_i^e_i Q_i^(M_i - e_i),
+            den = D prod_i Q_i^M_i,
+
+        so no gcd reduction happens here.  The denominator never vanishes at
+        t = 0 because none of the component denominators do.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
-        max_power = [0] * len(self._variables)
-        for e in self._terms:
-            for i, k in enumerate(e):
-                if k > max_power[i]:
-                    max_power[i] = k
-        num_powers: list[list[TPoly]] = []
-        den_powers: list[list[TPoly]] = []
-        for value, top in zip(values, max_power):
-            nums = [TPoly.one()]
-            dens = [TPoly.one()]
+        tops = [max(column, default=0) for column in zip(*self._nums)]
+        powers: list[tuple[list[dict[int, int]], list[dict[int, int]]]] = []
+        for value, top in zip(values, tops):
+            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+            p = {k: c * b for k, c in n.items()}
+            q = {k: c * a for k, c in d.items()}
+            p_pow, q_pow = [{0: 1}], [{0: 1}]
             for _ in range(top):
-                nums.append(nums[-1] * value.num)
-                dens.append(dens[-1] * value.den)
-            num_powers.append(nums)
-            den_powers.append(dens)
-        den = TPoly.one()
-        for i, top in enumerate(max_power):
-            if top:
-                den = den * den_powers[i][top]
-        num = TPoly.zero()
-        for e, c in self.items():
-            term = TPoly.constant(c)
-            for i, k in enumerate(e):
+                p_pow.append(_convolve(p_pow[-1], p))
+                q_pow.append(_convolve(q_pow[-1], q))
+            powers.append((p_pow, q_pow))
+        num: dict[int, int] = {}
+        for e, c in self._nums.items():
+            term = {0: c}
+            for (p_pow, q_pow), k, top in zip(powers, e, tops):
                 if k:
-                    term = term * num_powers[i][k]
-                if max_power[i] - k:
-                    term = term * den_powers[i][max_power[i] - k]
-            num = num + term
-        return num, den
+                    term = _convolve(term, p_pow[k])
+                if top - k:
+                    term = _convolve(term, q_pow[top - k])
+            for power, value in term.items():
+                num[power] = num.get(power, 0) + value
+        den = {0: self._den}
+        for (_, q_pow), top in zip(powers, tops):
+            if top:
+                den = _convolve(den, q_pow[top])
+        return TPoly._make(num), TPoly._make(den)
 
     def compose(self, values: Sequence[TRational]) -> TRational:
         """Substitute a rational function of t for every variable.
@@ -281,36 +286,33 @@ class Polynomial:
         num, _ = self._compose_parts(values)
         return num.order()
 
+    def map_exponents(
+        self, fn: Callable[..., Sequence[int]], variables: Sequence[str] | None = None
+    ) -> Polynomial:
+        """The sum of c_e x^fn(e), in ``variables`` (default: the same ones).
+
+        Coefficients whose exponents land on the same fn(e) are added.
+        """
+        nums: dict[Exponent, int] = {}
+        for e, c in self._nums.items():
+            key = tuple(fn(e))
+            nums[key] = nums.get(key, 0) + c
+        variables = _checked(self._variables if variables is None else variables, nums)
+        return Polynomial._make(variables, nums, self._den)
+
     def extend_variables(self, extra: Sequence[str]) -> Polynomial:
         """The same polynomial viewed in a ring with extra trailing variables."""
         extra = tuple(extra)
         pad = (0,) * len(extra)
-        return Polynomial(
-            self._variables + extra, {e + pad: c for e, c in self._terms.items()}
-        )
+        return self.map_exponents(lambda e: e + pad, self._variables + extra)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        def fmt_term(e: Exponent, c: Fraction) -> str:
-            factors = []
-            for name, k in zip(self._variables, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                return str(c)
-            body = "*".join(factors)
-            if c == 1:
-                return body
-            if c == -1:
-                return f"-{body}"
-            return f"{c}*{body}"
+        def monomial(e: Exponent) -> str:
+            powers = zip(self._variables, e)
+            return "*".join(f"{x}^{k}" if k > 1 else x for x, k in powers if k)
 
-        ordered = sorted(self._terms.items(), key=lambda item: (-sum(item[0]), item[0]))
-        out = " + ".join(fmt_term(e, c) for e, c in ordered)
-        return out.replace("+ -", "- ")
+        ordered = sorted(self.terms.items(), key=lambda item: (-sum(item[0]), item[0]))
+        return _format((monomial(e), c) for e, c in ordered)
 
     def __repr__(self) -> str:
         return f"Polynomial({self._variables!r}, {dict(self.items())!r})"

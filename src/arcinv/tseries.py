@@ -8,6 +8,8 @@ Nothing is ever truncated, so all downstream order computations are exact.
 
 ``TPoly`` holds integer numerators over one positive denominator, in lowest
 terms; one integer pseudo-division serves ``divrem`` and ``t_gcd``.
+``Polynomial`` keeps the same form keyed by exponent tuples, through the same
+private helpers (``_lcm_form``, ``_lowest``, ``_sum``, ``_convolve``, ``_format``).
 ``TRational`` is a quotient of two ``TPoly`` kept in canonical form:
 gcd(num, den) = 1, den monic, den(0) != 0.  Canonical form makes structural
 equality coincide with mathematical equality.
@@ -19,11 +21,13 @@ bool is refused rather than read as a binary expansion or as 0/1.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Terms = dict[int, int]
+Nums = dict[Any, int]  # numerators keyed by a power of t or by an exponent tuple
 
 
 def exact(value: object) -> Fraction:
@@ -37,6 +41,57 @@ def is_exponent(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _lcm_form(terms: Mapping) -> tuple[Nums, int]:
+    """Numerators of the nonzero scalars over their lcm denominator: lowest terms."""
+    coeffs = {key: value for key, coeff in terms.items() if (value := exact(coeff))}
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * den // c.denominator for key, c in coeffs.items()}, den
+
+
+def _lowest(nums: Nums, den: int) -> tuple[Nums, int]:
+    """nums / den with no zero numerators, den > 0 and gcd(den, *nums) = 1."""
+    nums = {key: c for key, c in nums.items() if c}
+    if den < 0:
+        nums, den = {key: -c for key, c in nums.items()}, -den
+    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        nums, den = {key: c // g for key, c in nums.items()}, den // g
+    return nums, den
+
+
+def _sum(a: Nums, a_den: int, b: Nums, b_den: int) -> tuple[Nums, int]:
+    """a / a_den + b / b_den over the lcm of the denominators, not reduced."""
+    den = math.lcm(a_den, b_den)
+    mine, theirs = den // a_den, den // b_den
+    nums = {key: c * mine for key, c in a.items()}
+    for key, c in b.items():
+        nums[key] = nums.get(key, 0) + c * theirs
+    return nums, den
+
+
+def _convolve(a: Nums, b: Nums, combine: Callable = operator.add) -> Nums:
+    """Integer product of two term maps; ``combine`` adds two keys."""
+    nums: Nums = {}
+    for p, c in a.items():
+        for q, d in b.items():
+            key = combine(p, q)
+            nums[key] = nums.get(key, 0) + c * d
+    return nums
+
+
+def _format(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """c*monomial + ..., "0" when empty; a unit coefficient is written as a sign."""
+    parts = []
+    for monomial, c in terms:
+        if not monomial:
+            parts.append(str(c))
+        elif abs(c) == 1:
+            parts.append(monomial if c == 1 else f"-{monomial}")
+        else:
+            parts.append(f"{c}*{monomial}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 class TPoly:
     """Sparse polynomial in t with rational coefficients.
 
@@ -47,27 +102,17 @@ class TPoly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        coeffs: dict[int, Fraction] = {}
-        for power, coeff in (terms or {}).items():
+        terms = terms or {}
+        for power in terms:
             if not is_exponent(power):
                 raise ValueError(f"invalid exponent {power!r} for a power of t")
-            if value := exact(coeff):
-                coeffs[power] = value
-        # Over the lcm of reduced denominators the form is already in lowest terms.
-        self._den = den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self._nums = {p: c.numerator * den // c.denominator for p, c in coeffs.items()}
+        self._nums, self._den = _lcm_form(terms)
 
     @classmethod
     def _make(cls, nums: Terms, den: int = 1) -> TPoly:
         """The polynomial with numerators nums over den, brought to lowest terms."""
-        nums = {p: c for p, c in nums.items() if c}
-        if den < 0:
-            nums, den = {p: -c for p, c in nums.items()}, -den
-        g = math.gcd(den, *nums.values()) if den != 1 else 1
-        if g != 1:
-            nums, den = {p: c // g for p, c in nums.items()}, den // g
         poly = object.__new__(cls)
-        poly._nums, poly._den = nums, den
+        poly._nums, poly._den = _lowest(nums, den)
         return poly
 
     @classmethod
@@ -117,6 +162,11 @@ class TPoly:
     def items(self) -> list[tuple[int, Fraction]]:
         return [(p, Fraction(c, self._den)) for p, c in sorted(self._nums.items())]
 
+    @property
+    def integer_form(self) -> tuple[Terms, int]:
+        """(nums, den), t^p having coefficient nums[p] / den; read-only."""
+        return self._nums, self._den
+
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -134,12 +184,7 @@ class TPoly:
     def __add__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
-        den = math.lcm(self._den, other._den)
-        mine, theirs = den // self._den, den // other._den
-        nums = {p: c * mine for p, c in self._nums.items()}
-        for p, c in other._nums.items():
-            nums[p] = nums.get(p, 0) + c * theirs
-        return TPoly._make(nums, den)
+        return TPoly._make(*_sum(self._nums, self._den, other._nums, other._den))
 
     def __sub__(self, other: TPoly) -> TPoly:
         return self + (-other)
@@ -149,12 +194,7 @@ class TPoly:
             return self.scale(other)
         if not isinstance(other, TPoly):
             return NotImplemented
-        nums: Terms = {}
-        for p, c in self._nums.items():
-            for q, d in other._nums.items():
-                key = p + q
-                nums[key] = nums.get(key, 0) + c * d
-        return TPoly._make(nums, self._den * other._den)
+        return TPoly._make(_convolve(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -195,22 +235,7 @@ class TPoly:
         return quotient
 
     def __str__(self) -> str:
-        if not self._nums:
-            return "0"
-        parts = []
-        for p, c in self.items():
-            if p == 0:
-                parts.append(str(c))
-            else:
-                t_pow = "t" if p == 1 else f"t^{p}"
-                if c == 1:
-                    parts.append(t_pow)
-                elif c == -1:
-                    parts.append(f"-{t_pow}")
-                else:
-                    parts.append(f"{c}*{t_pow}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return _format(({0: "", 1: "t"}.get(p, f"t^{p}"), c) for p, c in self.items())
 
     def __repr__(self) -> str:
         return f"TPoly({dict(self.items())!r})"
@@ -325,10 +350,6 @@ class TRational:
     @classmethod
     def one(cls) -> TRational:
         return cls(TPoly.one())
-
-    @classmethod
-    def constant(cls, value: Scalar) -> TRational:
-        return cls(TPoly.constant(value))
 
     @classmethod
     def t(cls, power: int = 1) -> TRational:

@@ -1,7 +1,11 @@
 """Command line behaviour: output text, machine format, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -221,6 +225,26 @@ def test_delta_envelope_needs_level_13(capsys):
     assert "precondition violated" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"), "--m", "100000"],
+        ["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"),
+         "--m-max", "100000"],
+        ["verify", "x2y3z6", "--m-max", "100000"],
+    ],
+    ids=["contact-m", "contact-m-max", "verify-m-max"],
+)
+def test_oversized_search_box_exits_4_before_the_scan(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.startswith("inconclusive:") and "10000000 points" in out
+    assert elapsed < 1
+
+
 # Every command-line example of the README, plus a level whose components
 # touch the default --m search box.
 BUNDLED_EXAMPLES = [
@@ -263,3 +287,16 @@ def test_bundled_examples_run_clean(argv, capsys):
         outputs.append(captured.out)
     assert outputs[0] == outputs[1] == golden
     json.loads(outputs[0])
+
+
+def test_reproduce_tables_output_is_pinned():
+    root = DATA.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py")],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == (GOLDEN / "reproduce-tables.txt").read_text()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arcinv.contact
 from arcinv.contact import (
     ResolutionData,
     delta,
@@ -24,7 +25,7 @@ from arcinv.contact import (
     sample_multiindices,
     values_bounds,
 )
-from arcinv.errors import PreconditionError
+from arcinv.errors import BudgetExhausted, PreconditionError
 
 EXAMPLE = ResolutionData.of(
     (2, 3),
@@ -234,3 +235,39 @@ def test_extrema_frozen():
     assert observed.maximum == Fraction(20, 17)
     assert observed.argmin == (0, 8)
     assert observed.argmax == (4, 3)
+
+
+def old_single_generator_bounds(data):
+    """The deleted single-generator branch: per-divisor min and max of a_i / (b c_i)."""
+    ((a, b),) = data.gens
+    ratios = [
+        math.inf if data.c[i] == 0 else Fraction(a[i], b * data.c[i])
+        for i in data.contact_support
+    ]
+    return min(ratios), max(ratios)
+
+
+single_generator_data = st.integers(1, 4).flatmap(
+    lambda n: st.builds(
+        ResolutionData.almost_rees,
+        st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any),
+    )
+)
+
+
+@given(single_generator_data)
+def test_single_generator_bounds_are_the_per_divisor_extremes(data):
+    assert values_bounds(data) == old_single_generator_bounds(data)
+
+
+def test_oversized_boxes_are_refused_before_the_scan(monkeypatch):
+    monkeypatch.setattr(arcinv.contact, "MAX_BOX_POINTS", 54)
+    assert fat_components(EXAMPLE, 5, 6) == fat_components(EXAMPLE, 5, 5)  # 7^2 points
+    with pytest.raises(BudgetExhausted):
+        fat_components(EXAMPLE, 5, 7)  # 8^2 = 64 points
+    # 2^2 + 3^2 + 4^2 + 5^2 = 54 points up to m = 4, and 90 up to m = 5.
+    assert delta_limit_check(EXAMPLE, 4).passed
+    with pytest.raises(BudgetExhausted):
+        delta_limit_check(EXAMPLE, 5)

@@ -55,8 +55,6 @@ def test_resolution_accepts_single_generator_shorthand():
     doc = {"kind": "resolution", "c": [1, 1], "a": [1, 3], "b": 1}
     data = parse_resolution(doc)
     assert data.gens == (((1, 3), 1),)
-    assert data.is_almost_rees
-    assert data.b == 1
 
 
 def test_kind_is_checked():

@@ -219,6 +219,13 @@ def test_deferred_check_catches_a_corrupted_state(
     assert taken[-1] == caught
 
 
+def test_blowup_step_refuses_a_multiplicity_above_the_transform_order():
+    state = init_directed(QUINTIC, monomial_arc((3, 2, 2)))
+    broken = dataclasses.replace(state, multiplicity=state.multiplicity + 1)
+    with pytest.raises(RuntimeError, match="division is not exact"):
+        blowup_step(broken)
+
+
 def _taylor(comp, k):
     """Coefficients c_0..c_k of the power series num/den, by series division."""
     num, den = dict(comp.num.items()), dict(comp.den.items())

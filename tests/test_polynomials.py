@@ -127,6 +127,30 @@ def test_compose_respects_evaluation(p, parts):
     assert composed.num.evaluate(point) == direct * composed.den.evaluate(point)
 
 
+# Quotients n/d with rational coefficients and d(0) != 0, d not monic: the
+# canonical den is then monic with fractional coefficients, so both scalars
+# of the integer form (a of n, b of d) differ from 1.
+unit_tpolys = st.tuples(
+    coeffs.filter(bool), st.dictionaries(st.integers(1, 2), coeffs, max_size=2)
+).map(lambda pair: TPoly({0: pair[0], **pair[1]}))
+quotients = st.tuples(small_tpolys, unit_tpolys).map(lambda nd: TRational(*nd))
+low_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=4
+).map(lambda terms: Polynomial(VARS, terms))
+
+
+@settings(deadline=None)
+@given(low_polys, st.tuples(quotients, quotients, quotients))
+def test_compose_of_quotients_matches_sympy(p, values):
+    subs = {s: tpoly_to_sympy(v.num) / tpoly_to_sympy(v.den) for s, v in zip(SYMS, values)}
+    expected = sympy.cancel(to_sympy(p).subs(subs, simultaneous=True))
+    got = p.compose(values)
+    assert sympy.cancel(tpoly_to_sympy(got.num) / tpoly_to_sympy(got.den) - expected) == 0
+    num = sympy.fraction(expected)[0]
+    order = math.inf if num == 0 else min(k for (k,) in sympy.Poly(num, T).monoms())
+    assert p.compose_order(values) == order
+
+
 def test_compose_arity_checked():
     p = Polynomial(VARS, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
@@ -138,6 +162,43 @@ def test_extend_variables():
     q = p.extend_variables(("s",))
     assert q.variables == ("x", "y", "s")
     assert q.items() == [((2, 1, 0), Fraction(5))]
+
+
+def test_map_exponents_adds_the_terms_that_collide():
+    p = Polynomial(("x", "y"), {(2, 0): 1, (1, 1): Fraction(1, 2), (0, 2): Fraction(-3, 2)})
+    assert p.map_exponents(lambda e: (sum(e),), ("u",)) == Polynomial.zero(("u",))
+    assert p.map_exponents(lambda e: (max(e), 0)) == Polynomial(
+        ("x", "y"), {(2, 0): Fraction(-1, 2), (1, 0): Fraction(1, 2)}
+    )
+    assert p.map_exponents(lambda e: (e[1], e[0])) == Polynomial(
+        ("x", "y"), {(0, 2): 1, (1, 1): Fraction(1, 2), (2, 0): Fraction(-3, 2)}
+    )
+    for fn, variables in [
+        (lambda e: (e[0] - 1, e[1]), None),
+        (lambda e: e, ("x",)),
+        (lambda e: e, ("x", "x")),
+        (lambda e: (Fraction(e[0]), e[1]), None),
+    ]:
+        with pytest.raises(ValueError):
+            p.map_exponents(fn, variables)
+    with pytest.raises(ValueError):
+        p.extend_variables(("x",))
+
+
+def assert_lowest_terms(p):
+    den, nums = p._den, p._nums
+    assert den > 0
+    assert all(nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert Polynomial(p.variables, p.terms) == p
+
+
+@given(polys, polys, coeffs, st.tuples(coeffs, coeffs, coeffs), st.sampled_from(VARS))
+def test_stored_form_is_unique(p, q, factor, point, var):
+    merged = p.map_exponents(lambda e: (e[0] + e[1], 0, e[2]))
+    for result in [p + q, p - q, p - p, p * q, p * factor, p * 0, p.translate(point),
+                   p.partial_derivative(var), merged, p.extend_variables(("s",))]:
+        assert_lowest_terms(result)
 
 
 def test_str_is_deterministic():
