@@ -41,7 +41,7 @@ from typing import Literal
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
 from .polynomials import Polynomial
-from .rees import diff_saturate
+from .rees import ReesAlgebra, diff_saturate
 from .tseries import TRational
 
 TieBreak = Literal["s_first", "lowest_index"]
@@ -186,7 +186,9 @@ def nash_sequence(
     is checked after translating steps and at the end (module docstring).
     """
     state = init_directed(surface, arc)
-    if diff_saturate(surface).ord_along_arc(arc) == math.inf:
+    # f pulls back to zero, so the derivatives alone decide an infinite order.
+    derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
+    if derivatives.ord_along_arc(arc) == math.inf:
         return NashReport((state.multiplicity,), None, True, 0, ())
     budget = max_steps if max_steps is not None else default_budget(surface, arc)
     if budget < 1:

@@ -41,6 +41,14 @@ def _add_exponents(e: Exponent, f: Exponent) -> Exponent:
     return tuple(map(operator.add, e, f))
 
 
+_ONE = {0: 1}
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two maps from powers of t to integers; free when one is 1."""
+    return b if a == _ONE else a if b == _ONE else _convolve(a, b)
+
+
 class Polynomial:
     """Multivariate polynomial with named variables and exact coefficients.
 
@@ -228,46 +236,51 @@ class Polynomial:
         return sum(terms, Fraction(0)) / self._den
 
     def _compose_parts(self, values: Sequence[TRational]) -> tuple[TPoly, TPoly]:
-        """Numerator and denominator of the substitution, as one integer sum.
+        """Numerator and denominator of the substitution, as nested integer sums.
 
         Value i is n(t)/a over d(t)/b in integer form, i.e. x_i = P_i / Q_i
-        with P_i = b*n and Q_i = a*d.  With D the polynomial's denominator
-        and M_i the top power of variable i,
+        with P_i = b*n and Q_i = a*d.  With D the polynomial's denominator,
+        M_i the top power of variable i and R_i(k) = P_i^k Q_i^(M_i - k),
 
-            num = sum_e c_e prod_i P_i^e_i Q_i^(M_i - e_i),
-            den = D prod_i Q_i^M_i,
+            num = sum_e c_e prod_i R_i(e_i)
+                = sum_k R_1(k) sum_k' R_2(k') ... sum_(e_n) c_e R_n(e_n),
+            den = D prod_i Q_i^M_i.
 
-        so no gcd reduction happens here.  The denominator never vanishes at
-        t = 0 because none of the component denominators do.
+        The nested sum groups the terms by their leading exponents (a
+        multivariate Horner scheme), so it takes one product per distinct
+        exponent prefix, and none for a factor equal to 1; each R_i(k) is
+        built once, for the k that occur.  No gcd reduction happens here.
+        The denominator never vanishes at t = 0 because none of the
+        component denominators do.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
-        tops = [max(column, default=0) for column in zip(*self._nums)]
-        powers: list[tuple[list[dict[int, int]], list[dict[int, int]]]] = []
-        for value, top in zip(values, tops):
+        factors: list[dict[int, dict[int, int]]] = []
+        den = {0: self._den}
+        for value, column in zip(values, zip(*self._nums)):
             (n, a), (d, b) = value.num.integer_form, value.den.integer_form
             p = {k: c * b for k, c in n.items()}
             q = {k: c * a for k, c in d.items()}
-            p_pow, q_pow = [{0: 1}], [{0: 1}]
+            top = max(column)
+            p_pow, q_pow = [_ONE], [_ONE]
             for _ in range(top):
-                p_pow.append(_convolve(p_pow[-1], p))
-                q_pow.append(_convolve(q_pow[-1], q))
-            powers.append((p_pow, q_pow))
-        num: dict[int, int] = {}
-        for e, c in self._nums.items():
-            term = {0: c}
-            for (p_pow, q_pow), k, top in zip(powers, e, tops):
-                if k:
-                    term = _convolve(term, p_pow[k])
-                if top - k:
-                    term = _convolve(term, q_pow[top - k])
-            for power, value in term.items():
-                num[power] = num.get(power, 0) + value
-        den = {0: self._den}
-        for (_, q_pow), top in zip(powers, tops):
-            if top:
-                den = _convolve(den, q_pow[top])
-        return TPoly._make(num), TPoly._make(den)
+                p_pow.append(_times(p_pow[-1], p))
+                q_pow.append(_times(q_pow[-1], q))
+            factors.append({k: _times(p_pow[k], q_pow[top - k]) for k in set(column)})
+            den = _times(den, q_pow[top])
+        level = {e: {0: c} for e, c in self._nums.items()}
+        for i in reversed(range(len(factors))):
+            upper: dict[Exponent, dict[int, int]] = {}
+            for prefix, inner in level.items():
+                factor = factors[i][prefix[-1]]
+                # Not _times, which may return the shared factor for acc to change.
+                product = inner if factor == _ONE else _convolve(factor, inner)
+                acc = upper.setdefault(prefix[:-1], product)
+                if acc is not product:
+                    for power, v in product.items():
+                        acc[power] = acc.get(power, 0) + v
+            level = upper
+        return TPoly._make(level.get((), {})), TPoly._make(den)
 
     def compose(self, values: Sequence[TRational]) -> TRational:
         """Substitute a rational function of t for every variable.

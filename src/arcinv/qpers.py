@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
 from .nash import default_budget, persistance
-from .rees import diff_saturate
+from .rees import ReesAlgebra, diff_saturate
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def q_persistance(surface: Hypersurface, arc: Arc) -> QPersistanceResult:
     if not arc.lies_on(surface):
         raise PreconditionError("the arc does not lie on the hypersurface")
     nu = arc.order()
-    r = diff_saturate(surface).ord_along_arc(arc)
+    # f pulls back to zero, so the derivatives alone give the order.
+    r = ReesAlgebra(diff_saturate(surface).generators[1:]).ord_along_arc(arc)
     if r == math.inf:
         return QPersistanceResult(math.inf, math.inf, nu, None)
     return QPersistanceResult(r, r / nu, nu, math.floor(r))

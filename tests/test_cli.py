@@ -289,6 +289,13 @@ def test_bundled_examples_run_clean(argv, capsys):
     json.loads(outputs[0])
 
 
+def test_verify_all_output_is_pinned(capsys):
+    assert main(["verify", "all", "--format", "machine"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / "verify-all.json").read_text()
+
+
 def test_reproduce_tables_output_is_pinned():
     root = DATA.parent
     env = dict(os.environ)

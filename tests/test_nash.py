@@ -21,6 +21,7 @@ from arcinv.nash import (
     persistance,
 )
 from arcinv.polynomials import Polynomial
+from arcinv.qpers import q_persistance
 from arcinv.tseries import TPoly, TRational
 from arcinv.verify import sampled_arc, x2y3z6_parametrization
 
@@ -125,6 +126,16 @@ def test_tiebreak_does_not_change_the_sequence():
         first = nash_sequence(surface, arc, tie_break="s_first")
         lowest = nash_sequence(surface, arc, tie_break="lowest_index")
         assert first.sequence == lowest.sequence
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", [(1, 2), (1, 3)], ids=["1-2", "1-3"])
+def test_lowest_index_reaches_the_large_transforms(kind, seed):
+    """The lowest_index tie-break on types whose transforms grow to hundreds of terms."""
+    arc = sampled_arc(*kind, seed)
+    lowest = nash_sequence(QUINTIC, arc, tie_break="lowest_index")
+    assert lowest.sequence == nash_sequence(QUINTIC, arc, tie_break="s_first").sequence
+    assert lowest.rho == math.floor(q_persistance(QUINTIC, arc).r)
 
 
 def test_unknown_tiebreak_rejected():

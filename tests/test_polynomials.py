@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcinv.polynomials import Polynomial
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TPoly, TRational, _convolve
 
 VARS = ("x", "y", "z")
 SYMS = sympy.symbols(VARS)
@@ -149,6 +149,59 @@ def test_compose_of_quotients_matches_sympy(p, values):
     num = sympy.fraction(expected)[0]
     order = math.inf if num == 0 else min(k for (k,) in sympy.Poly(num, T).monoms())
     assert p.compose_order(values) == order
+
+
+def per_term_parts(p, values):
+    """The substitution with one product per term: the formula the nested sum replaces.
+
+    num = sum_e c_e prod_i P_i^e_i Q_i^(M_i - e_i) and den = D prod_i Q_i^M_i
+    for x_i = P_i / Q_i, P_i = b*n and Q_i = a*d.
+    """
+    tops = [max(column, default=0) for column in zip(*p._nums)]
+    parts = []
+    for value, top in zip(values, tops):
+        (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+        parts.append(({k: c * b for k, c in n.items()}, {k: c * a for k, c in d.items()}))
+    num = {}
+    for e, c in p._nums.items():
+        term = {0: c}
+        for (big_p, big_q), k, top in zip(parts, e, tops):
+            for _ in range(k):
+                term = _convolve(term, big_p)
+            for _ in range(top - k):
+                term = _convolve(term, big_q)
+        for power, value in term.items():
+            num[power] = num.get(power, 0) + value
+    den = {0: p._den}
+    for (_, big_q), top in zip(parts, tops):
+        for _ in range(top):
+            den = _convolve(den, big_q)
+    return TPoly._make(num), TPoly._make(den)
+
+
+# Four variables, like a transform with the cylinder variable s, and up to 20
+# terms over few exponents, so that the terms share leading exponents; one
+# column may be zeroed so that a variable has top exponent 0.
+VARS4 = ("x", "y", "z", "s")
+dense_polys = st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), coeffs, max_size=20),
+    st.integers(0, 4),
+).map(lambda pair: Polynomial(VARS4, {
+    tuple(0 if i == pair[1] else k for i, k in enumerate(e)): c
+    for e, c in pair[0].items()
+}))
+zero_value = TRational(TPoly.zero())
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(dense_polys, coeffs.map(lambda c: Polynomial.constant(VARS4, c))),
+    st.tuples(*[st.one_of(st.just(zero_value), quotients)] * 4),
+)
+def test_nested_sum_matches_the_per_term_formula(p, values):
+    got = p._compose_parts(values)
+    expected = per_term_parts(p, values)
+    assert [part.integer_form for part in got] == [part.integer_form for part in expected]
 
 
 def test_compose_arity_checked():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arcinv.arcs import Arc, Hypersurface, monomial_arc
 from arcinv.errors import PreconditionError
+from arcinv.nash import nash_sequence
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import check_floor_identity, check_limit_identity, q_persistance
 from arcinv.tseries import TRational
@@ -48,6 +49,28 @@ def test_trapped_arc_has_infinite_r():
 def test_arc_must_lie_on_the_surface():
     with pytest.raises(PreconditionError):
         q_persistance(QUINTIC, monomial_arc((1, 1, 1)))
+
+
+def test_the_equation_is_pulled_back_once_per_call(monkeypatch):
+    """Membership proves that f pulls back to zero; the order needs no second pullback."""
+    calls = []
+    compose_order = Polynomial.compose_order
+
+    def counted(self, values):
+        if self == QUINTIC.f:
+            calls.append(self)
+        return compose_order(self, values)
+
+    monkeypatch.setattr(Polynomial, "compose_order", counted)
+    arc = monomial_arc((6, 6, 5))
+    assert q_persistance(QUINTIC, arc).r == 6
+    assert len(calls) == 1
+    assert nash_sequence(QUINTIC, arc).rho == 6
+    assert len(calls) == 2
+    for run in (q_persistance, nash_sequence):
+        with pytest.raises(PreconditionError):
+            run(QUINTIC, monomial_arc((1, 1, 1)))
+    assert len(calls) == 4
 
 
 def test_variable_count_checked():
