@@ -14,6 +14,7 @@ from arcinv.contact import (
     delta,
     fat_components,
     hironaka_order,
+    outside_bounds,
     rbar_of_multiindex,
     sample_multiindices,
     values_bounds,
@@ -76,7 +77,7 @@ def bounds_report(samples: int, seed: int) -> None:
     data = x2y3z6_resolution()
     lower, upper = values_bounds(data)
     drawn = sample_multiindices(data, samples, 8, seed)
-    inside = all(lower <= rbar_of_multiindex(data, l) <= upper for l in drawn)
+    inside = not outside_bounds(data, drawn)
     print(
         f"\nexact bounds [{format_rational(lower)}, {format_rational(upper)}]; "
         f"{samples} samples (seed {seed}) inside: {inside}"

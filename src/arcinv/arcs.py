@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .polynomials import Polynomial
-from .tseries import TPoly, TRational
+from .tseries import TPoly, TRational, is_exponent
 
 
 class Hypersurface:
@@ -109,21 +109,6 @@ class Arc:
             )
         return surface.f.compose_order(self.components) == math.inf
 
-    def contact_order(self, generators: Sequence[Polynomial]) -> int | float:
-        """Minimal vanishing order of the generators pulled back along the arc.
-
-        Returns infinity when every generator pulls back to zero, i.e. the arc
-        sits inside the zero locus of the ideal.
-        """
-        if not generators:
-            raise PreconditionError("contact order needs at least one generator")
-        best: int | float = math.inf
-        for g in generators:
-            value = g.compose_order(self.components)
-            if value < best:
-                best = value
-        return best
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Arc):
             return self.components == other.components
@@ -163,8 +148,8 @@ class MonomialParametrization:
         if width == 0 or any(len(row) != width for row in rows):
             raise PreconditionError("exponent rows must be nonempty and equally long")
         for row in rows:
-            if any(not isinstance(e, int) or e < 0 for e in row):
-                raise PreconditionError("parametrization exponents must be >= 0")
+            if not all(map(is_exponent, row)):
+                raise PreconditionError("parametrization exponents must be integers >= 0")
         self.exponents = rows
 
     @property
@@ -174,15 +159,6 @@ class MonomialParametrization:
     @property
     def coordinate_count(self) -> int:
         return len(self.exponents[0])
-
-    def coordinate_orders(self, parameter_orders: Sequence[int]) -> tuple[int, ...]:
-        """t-orders of the coordinates when parameter i has t-order given."""
-        if len(parameter_orders) != self.parameter_count:
-            raise PreconditionError("one order per parameter is required")
-        return tuple(
-            sum(row[j] * o for row, o in zip(self.exponents, parameter_orders))
-            for j in range(self.coordinate_count)
-        )
 
     def check_identity(self, surface: Hypersurface) -> None:
         """Verify symbolically that the parametrization satisfies f = 0.
@@ -245,7 +221,7 @@ def sample_binomial_arc(
     param.check_identity(surface)
     if len(orders) != param.parameter_count:
         raise PreconditionError("one t-order per parameter is required")
-    if any(not isinstance(o, int) or o < 1 for o in orders):
+    if any(not is_exponent(o) or o < 1 for o in orders):
         raise PreconditionError("parameter orders must be positive integers")
     rng = random.Random(coeff_seed)
     series = []

@@ -30,6 +30,7 @@ from .contact import (
     ResolutionData,
     delta_limit_check,
     fat_components,
+    outside_bounds,
     rbar_extrema,
     rbar_of_multiindex,
     sample_multiindices,
@@ -221,9 +222,7 @@ def _cmd_bounds(job: JobSpec) -> tuple[list[str], dict, int]:
     bound = job.bound if job.bound is not None else 8
     drawn = sample_multiindices(data, samples, bound, seed)
     observed = rbar_extrema(data, drawn)
-    inside = all(
-        lower <= rbar_of_multiindex(data, l) <= upper for l in drawn
-    )
+    inside = not outside_bounds(data, drawn)
     min_attained = observed.minimum == lower
     max_attained = observed.maximum == upper
     lines = [

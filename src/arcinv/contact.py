@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExhausted, PreconditionError
+from .tseries import is_exponent
 
 MultiIndex = tuple[int, ...]
 # Most box points a contact search may scan: about 14 s on a 2-vCPU Xeon VM.
@@ -67,8 +68,8 @@ class ResolutionData:
         n = len(self.c)
         if n == 0:
             raise PreconditionError("at least one divisor is required")
-        if any(not isinstance(x, int) or x < 0 for x in self.c):
-            raise PreconditionError("maximal ideal multiplicities must be >= 0")
+        if not all(map(is_exponent, self.c)):
+            raise PreconditionError("maximal ideal multiplicities must be integers >= 0")
         if not any(self.c):
             raise PreconditionError("the maximal ideal multiplicity vector is zero")
         if not self.gens:
@@ -76,9 +77,9 @@ class ResolutionData:
         for d, w in self.gens:
             if len(d) != n:
                 raise PreconditionError("generator vector length does not match c")
-            if any(not isinstance(x, int) or x < 0 for x in d):
-                raise PreconditionError("generator multiplicities must be >= 0")
-            if not isinstance(w, int) or w < 1:
+            if not all(map(is_exponent, d)):
+                raise PreconditionError("generator multiplicities must be integers >= 0")
+            if not is_exponent(w) or w < 1:
                 raise PreconditionError(f"weight {w!r} is not a positive integer")
         if not self.contact_support:
             raise PreconditionError("every generator has zero multiplicities")
@@ -86,8 +87,8 @@ class ResolutionData:
             for row in self.coord_val:
                 if len(row) != n:
                     raise PreconditionError("coordinate valuation row length mismatch")
-                if any(not isinstance(x, int) or x < 0 for x in row):
-                    raise PreconditionError("coordinate valuations must be >= 0")
+                if not all(map(is_exponent, row)):
+                    raise PreconditionError("coordinate valuations must be integers >= 0")
             for i in range(n):
                 column_min = min(row[i] for row in self.coord_val)
                 if column_min != self.c[i]:
@@ -109,17 +110,6 @@ class ResolutionData:
             None if coord_val is None else tuple(tuple(row) for row in coord_val),
         )
 
-    @classmethod
-    def almost_rees(
-        cls,
-        a: Sequence[int],
-        b: int,
-        c: Sequence[int],
-        coord_val: Sequence[Sequence[int]] | None = None,
-    ) -> ResolutionData:
-        """Data of a single generator in weight b."""
-        return cls.of(c, [(a, b)], coord_val)
-
     @property
     def num_divisors(self) -> int:
         return len(self.c)
@@ -138,7 +128,7 @@ def _check_multiindex(data: ResolutionData, l: Sequence[int]) -> MultiIndex:
     l = tuple(l)
     if len(l) != data.num_divisors:
         raise PreconditionError("multi-index length does not match the divisor count")
-    if any(not isinstance(x, int) or x < 0 for x in l):
+    if not all(map(is_exponent, l)):
         raise PreconditionError("multi-index entries must be non-negative integers")
     if not any(l):
         raise PreconditionError("the zero multi-index does not define an arc family")
@@ -325,6 +315,12 @@ def values_bounds(data: ResolutionData) -> tuple[Fraction | float, Fraction | fl
         ratios = [Fraction(x, w * c) if c else math.inf for x, c in zip(d, data.c) if x]
         upper = min(upper, max(ratios, default=Fraction(0)))
     return hironaka_order(data), upper
+
+
+def outside_bounds(data: ResolutionData, indices: Sequence[MultiIndex]) -> list[MultiIndex]:
+    """The multi-indices whose normalized order lies outside ``values_bounds``."""
+    lower, upper = values_bounds(data)
+    return [l for l in indices if not lower <= rbar_of_multiindex(data, l) <= upper]
 
 
 def sample_multiindices(

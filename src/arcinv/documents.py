@@ -30,7 +30,7 @@ from .arcs import Arc, Hypersurface
 from .contact import ResolutionData
 from .errors import DocumentError, PreconditionError
 from .polynomials import Polynomial
-from .tseries import TPoly, TRational
+from .tseries import TPoly, TRational, is_exponent
 
 
 def _is_int(x: Any) -> bool:
@@ -50,64 +50,40 @@ def _check_kind(doc: Any, expected: str) -> None:
         raise DocumentError(f"document kind {kind!r} where {expected!r} was expected")
 
 
-def _fraction_from_term(term: Any) -> Fraction:
-    _require(isinstance(term, dict), "polynomial terms must be objects")
-    num = term.get("coeff_num")
-    den = term.get("coeff_den", 1)
-    _require(_is_int(num) and _is_int(den), "coefficients must be integer pairs")
-    _require(den != 0, "coefficient denominator must be nonzero")
-    return Fraction(num, den)
-
-
-def parse_polynomial(terms: Any, variables: tuple[str, ...]) -> Polynomial:
+def _parse_terms(terms: Any, width: int) -> dict[tuple[int, ...], Fraction]:
+    """Coefficients by exponent tuple; repeated exponents add up."""
     _require(isinstance(terms, list), "a polynomial must be a list of terms")
     collected: dict[tuple[int, ...], Fraction] = {}
     for term in terms:
-        coeff = _fraction_from_term(term)
+        _require(isinstance(term, dict), "polynomial terms must be objects")
+        num = term.get("coeff_num")
+        den = term.get("coeff_den", 1)
+        _require(_is_int(num) and _is_int(den), "coefficients must be integer pairs")
+        _require(den != 0, "coefficient denominator must be nonzero")
         exponents = term.get("exponents")
         _require(
             isinstance(exponents, list)
-            and len(exponents) == len(variables)
-            and all(_is_int(e) and e >= 0 for e in exponents),
-            f"term exponents must be {len(variables)} non-negative integers",
+            and len(exponents) == width
+            and all(map(is_exponent, exponents)),
+            f"term exponents must be {width} non-negative integers",
         )
         key = tuple(exponents)
-        collected[key] = collected.get(key, Fraction(0)) + coeff
-    return Polynomial(variables, collected)
+        collected[key] = collected.get(key, Fraction(0)) + Fraction(num, den)
+    return collected
 
 
-def polynomial_to_terms(p: Polynomial) -> list[dict[str, Any]]:
+def parse_tpoly(terms: Any) -> TPoly:
+    return TPoly({e: c for (e,), c in _parse_terms(terms, 1).items()})
+
+
+def _to_terms(p: Polynomial | TPoly) -> list[dict[str, Any]]:
+    """The terms of either polynomial kind; a power of t is a one-entry exponent."""
     return [
         {
             "coeff_num": c.numerator,
             "coeff_den": c.denominator,
-            "exponents": list(e),
+            "exponents": list(e) if isinstance(e, tuple) else [e],
         }
-        for e, c in p.items()
-    ]
-
-
-def parse_tpoly(terms: Any) -> TPoly:
-    _require(isinstance(terms, list), "a t-polynomial must be a list of terms")
-    collected: dict[int, Fraction] = {}
-    for term in terms:
-        coeff = _fraction_from_term(term)
-        exponents = term.get("exponents")
-        _require(
-            isinstance(exponents, list)
-            and len(exponents) == 1
-            and _is_int(exponents[0])
-            and exponents[0] >= 0,
-            "t-polynomial terms carry exactly one non-negative exponent",
-        )
-        key = exponents[0]
-        collected[key] = collected.get(key, Fraction(0)) + coeff
-    return TPoly(collected)
-
-
-def tpoly_to_terms(p: TPoly) -> list[dict[str, Any]]:
-    return [
-        {"coeff_num": c.numerator, "coeff_den": c.denominator, "exponents": [e]}
         for e, c in p.items()
     ]
 
@@ -122,9 +98,9 @@ def parse_hypersurface(doc: Any) -> Hypersurface:
         and len(set(variables)) == len(variables),
         "a hypersurface needs a nonempty list of distinct variable names",
     )
-    polynomial = parse_polynomial(doc.get("polynomial"), tuple(variables))
+    terms = _parse_terms(doc.get("polynomial"), len(variables))
     try:
-        return Hypersurface(polynomial)
+        return Hypersurface(Polynomial(variables, terms))
     except PreconditionError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -133,7 +109,7 @@ def hypersurface_to_doc(surface: Hypersurface) -> dict[str, Any]:
     return {
         "kind": "hypersurface",
         "variables": list(surface.variables),
-        "polynomial": polynomial_to_terms(surface.f),
+        "polynomial": _to_terms(surface.f),
     }
 
 
@@ -159,43 +135,29 @@ def parse_arc(doc: Any) -> Arc:
 def arc_to_doc(arc: Arc) -> dict[str, Any]:
     components = []
     for comp in arc.components:
-        entry: dict[str, Any] = {"num": tpoly_to_terms(comp.num)}
+        entry: dict[str, Any] = {"num": _to_terms(comp.num)}
         if comp.den != TPoly.one():
-            entry["den"] = tpoly_to_terms(comp.den)
+            entry["den"] = _to_terms(comp.den)
         components.append(entry)
     return {"kind": "arc", "components": components}
 
 
 def parse_resolution(doc: Any) -> ResolutionData:
+    """Shape checks here; ``ResolutionData`` refuses entries that are not integers."""
     _check_kind(doc, "resolution")
     c = doc.get("c")
-    _require(
-        isinstance(c, list) and c and all(_is_int(x) for x in c),
-        "resolution data needs an integer vector c",
-    )
+    _require(isinstance(c, list) and c, "resolution data needs an integer vector c")
     if "gens" in doc:
         raw = doc["gens"]
         _require(isinstance(raw, list) and raw, "gens must be a nonempty list")
-        gens = []
-        for entry in raw:
-            _require(isinstance(entry, dict), "each generator must be an object")
-            d = entry.get("d")
-            w = entry.get("w")
-            _require(
-                isinstance(d, list) and all(_is_int(x) for x in d),
-                "generator vectors d must be integer lists",
-            )
-            _require(_is_int(w), "generator weights w must be integers")
-            gens.append((d, w))
-    elif "a" in doc:
-        a = doc.get("a")
-        b = doc.get("b")
         _require(
-            isinstance(a, list) and all(_is_int(x) for x in a),
-            "the vector a must be an integer list",
+            all(isinstance(g, dict) and isinstance(g.get("d"), list) for g in raw),
+            "each generator must be an object with an integer list d",
         )
-        _require(_is_int(b), "the weight b must be an integer")
-        gens = [(a, b)]
+        gens = [(entry["d"], entry.get("w")) for entry in raw]
+    elif "a" in doc:
+        _require(isinstance(doc.get("a"), list), "the vector a must be an integer list")
+        gens = [(doc["a"], doc.get("b"))]
     else:
         raise DocumentError("resolution data needs either 'gens' or 'a' and 'b'")
     coord_val = doc.get("coord_val")
@@ -203,10 +165,7 @@ def parse_resolution(doc: Any) -> ResolutionData:
         _require(
             isinstance(coord_val, list)
             and coord_val
-            and all(
-                isinstance(row, list) and all(_is_int(x) for x in row)
-                for row in coord_val
-            ),
+            and all(isinstance(row, list) for row in coord_val),
             "coord_val must be a matrix of integers",
         )
     try:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arcs import Arc, Hypersurface
-from .errors import BudgetExhausted, PreconditionError
-from .nash import default_budget, persistance
+from .errors import PreconditionError
+from .nash import nash_sequence
 from .rees import ReesAlgebra, diff_saturate
 
 
@@ -76,12 +76,9 @@ def check_floor_identity(
         raise PreconditionError(
             "the arc stays in the maximal multiplicity locus; rho is not finite"
         )
-    used = budget if budget is not None else default_budget(surface, arc)
-    try:
-        rho = persistance(surface, arc, budget=used)
-    except BudgetExhausted:
-        return FloorCheck(None, None, result, used)
-    return FloorCheck(rho == result.floor_r, int(rho), result, used)
+    report = nash_sequence(surface, arc, max_steps=budget)
+    passed = None if report.rho is None else report.rho == result.floor_r
+    return FloorCheck(passed, report.rho, result, report.budget)
 
 
 @dataclass(frozen=True)
@@ -120,15 +117,11 @@ def check_limit_identity(
         )
     rows: list[LimitRow] = []
     for n in range(1, n_max + 1):
-        ramified = arc.ramify(n)
         expected = math.floor(n * base.r)
-        used = budget if budget is not None else default_budget(surface, ramified)
-        try:
-            rho_n = int(persistance(surface, ramified, budget=used))
-        except BudgetExhausted:
-            rows.append(LimitRow(n, None, expected, None))
-            continue
-        ok = rho_n == expected and abs(Fraction(rho_n, n) - base.r) <= Fraction(1, n)
+        rho_n = nash_sequence(surface, arc.ramify(n), max_steps=budget).rho
+        ok = None if rho_n is None else (
+            rho_n == expected and abs(Fraction(rho_n, n) - base.r) <= Fraction(1, n)
+        )
         rows.append(LimitRow(n, rho_n, expected, ok))
     conclusive = all(row.ok is not None for row in rows)
     passed = conclusive and all(row.ok for row in rows)

@@ -29,6 +29,7 @@ from typing import Sequence
 from .arcs import Arc, Hypersurface
 from .errors import NotInSingularLocus, PreconditionError
 from .polynomials import Polynomial
+from .tseries import is_exponent
 
 
 class ReesAlgebra:
@@ -44,7 +45,7 @@ class ReesAlgebra:
         for g, w in gens:
             if g.is_zero:
                 raise PreconditionError("zero polynomials cannot be generators")
-            if not isinstance(w, int) or w < 1:
+            if not is_exponent(w) or w < 1:
                 raise PreconditionError(f"weight {w!r} is not a positive integer")
             if g.variables != variables:
                 raise PreconditionError("all generators must share the variable list")

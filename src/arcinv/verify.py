@@ -25,6 +25,7 @@ from .contact import (
     delta_limit_check,
     fat_components,
     hironaka_order,
+    outside_bounds,
     rbar_extrema,
     rbar_of_multiindex,
     sample_multiindices,
@@ -269,7 +270,7 @@ def check_delta_envelope(m_max: int = 60) -> CheckResult:
 def _containment_datasets() -> list[tuple[str, ResolutionData]]:
     return [
         ("weighted reference data", x2y3z6_resolution()),
-        ("single generator a=(1,3), b=1, c=(1,1)", ResolutionData.almost_rees((1, 3), 1, (1, 1))),
+        ("single generator a=(1,3), b=1, c=(1,1)", ResolutionData.of((1, 1), [((1, 3), 1)])),
     ]
 
 
@@ -282,11 +283,7 @@ def check_values_containment(
     for name, data in _containment_datasets():
         lower, upper = values_bounds(data)
         drawn = sample_multiindices(data, samples, bound, seed)
-        bad = [
-            l
-            for l in drawn
-            if not lower <= rbar_of_multiindex(data, l) <= upper
-        ]
+        bad = outside_bounds(data, drawn)
         details.append(
             f"{name}: {len(drawn)} samples in [{format_rational(lower)}, "
             f"{format_rational(upper)}], {len(bad)} outside"

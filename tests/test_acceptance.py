@@ -16,7 +16,7 @@ from arcinv.contact import dominates, fat_components, hironaka_order
 from arcinv.nash import blowup_step, init_directed, nash_sequence
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
-from arcinv.rees import ReesAlgebra, diff_saturate
+from arcinv.rees import diff_saturate
 from arcinv.tseries import TPoly, TRational
 from arcinv.verify import (
     check_center_order,
@@ -28,6 +28,7 @@ from arcinv.verify import (
     check_odd_levels,
     check_rbar_grid,
     check_values_containment,
+    x2y3z6_presentation,
     x2y3z6_resolution,
     x2y3z6_surface,
     sampled_arc,
@@ -182,17 +183,9 @@ def prop_domination_preorder_and_antichain(l1, l2, l3, m):
 def prop_presentations_agree_on_arc_orders(alpha, beta, seed):
     if alpha + beta == 0:
         alpha = 1
-    surface = x2y3z6_surface()
     arc = sampled_arc(alpha, beta, seed)
-    hand = ReesAlgebra(
-        [
-            (Polynomial.coordinate(XYZ, "x"), 1),
-            (Polynomial.coordinate(XYZ, "y"), 1),
-            (Polynomial(XYZ, {(0, 0, 6): 1}), 5),
-        ]
-    )
-    diff = diff_saturate(surface)
-    assert hand.ord_along_arc(arc) == diff.ord_along_arc(arc)
+    diff = diff_saturate(x2y3z6_surface())
+    assert x2y3z6_presentation().ord_along_arc(arc) == diff.ord_along_arc(arc)
 
 
 def test_criterion_8_property_suites():

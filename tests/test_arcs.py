@@ -1,7 +1,5 @@
 """Arcs, hypersurfaces, and the seeded arc sampler."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,13 +61,6 @@ def test_lies_on():
         monomial_arc((1, 1)).lies_on(QUINTIC)
 
 
-def test_contact_order():
-    arc = monomial_arc((3, 2, 2))
-    gens = [Polynomial.coordinate(XYZ, v) for v in XYZ]
-    assert arc.contact_order(gens) == 2
-    assert arc.contact_order([QUINTIC.f]) == math.inf
-
-
 @given(st.integers(2, 5))
 def test_ramify_multiplies_orders(n):
     arc = monomial_arc((3, 2, 2))
@@ -80,7 +71,6 @@ def test_ramify_multiplies_orders(n):
 def test_parametrization_identity_accepted():
     par = MonomialParametrization([(3, 0, 1), (0, 2, 1)])
     par.check_identity(QUINTIC)
-    assert par.coordinate_orders((1, 1)) == (3, 2, 2)
 
 
 def test_parametrization_identity_rejected():

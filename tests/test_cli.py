@@ -74,6 +74,16 @@ def test_nash_text_output(docs, capsys):
     assert "persistance rho: 6" in out
 
 
+def test_qpers_ramification_budget_is_inconclusive(docs, capsys):
+    code = main(
+        ["qpers", "--surface", docs["surface"], "--arc", docs["arc"],
+         "--n-max", "3", "--budget", "8"]
+    )
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "n = 2: rho = None, floor(n*r) = 12 [inconclusive]" in out
+
+
 def test_nash_trace(docs, capsys):
     code = main(
         ["nash", "--surface", docs["surface"], "--arc", docs["arc"], "--trace"]
@@ -263,10 +273,10 @@ BUNDLED_EXAMPLES = [
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def golden_path(argv: list[str]) -> Path:
-    """The recorded ``--format machine`` output of one bundled example."""
+def golden_path(argv: list[str], suffix: str = ".json") -> Path:
+    """The recorded output of one bundled example: ``--format machine`` or text."""
     name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(argv).replace(".json", ""))
-    return GOLDEN / (name.strip("-") + ".json")
+    return GOLDEN / (name.strip("-") + suffix)
 
 
 @pytest.mark.filterwarnings("error")
@@ -275,9 +285,10 @@ def golden_path(argv: list[str]) -> Path:
 )
 def test_bundled_examples_run_clean(argv, capsys):
     golden = golden_path(argv).read_text()
+    text = golden_path(argv, ".txt").read_text()
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr() == (text, "")
     machine = argv + ["--format", "machine"]
     outputs = []
     for _ in range(2):

@@ -33,8 +33,8 @@ EXAMPLE = ResolutionData.of(
     coord_val=((3, 3), (2, 4), (2, 3)),
 )
 
-ALMOST_REES = ResolutionData.almost_rees(
-    (1, 3), 1, (1, 1), coord_val=((1, 1), (1, 3), (2, 1))
+ALMOST_REES = ResolutionData.of(
+    (1, 1), [((1, 3), 1)], coord_val=((1, 1), (1, 3), (2, 1))
 )
 
 THREE_DIVISORS = ResolutionData.of(
@@ -249,7 +249,7 @@ def old_single_generator_bounds(data):
 
 single_generator_data = st.integers(1, 4).flatmap(
     lambda n: st.builds(
-        ResolutionData.almost_rees,
+        lambda a, b, c: ResolutionData.of(c, [(a, b)]),
         st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any),
         st.integers(1, 4),
         st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any),

@@ -4,9 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from arcinv.arcs import Arc, Hypersurface, monomial_arc
-from arcinv.contact import ResolutionData
+from arcinv.arcs import (
+    Arc,
+    Hypersurface,
+    MonomialParametrization,
+    monomial_arc,
+    sample_binomial_arc,
+)
+from arcinv.contact import ResolutionData, rbar_of_multiindex
 from arcinv.documents import (
     arc_to_doc,
     hypersurface_to_doc,
@@ -19,8 +27,9 @@ from arcinv.documents import (
     resolution_to_doc,
     save_document,
 )
-from arcinv.errors import DocumentError
+from arcinv.errors import DocumentError, PreconditionError
 from arcinv.polynomials import Polynomial
+from arcinv.rees import ReesAlgebra
 from arcinv.tseries import TPoly, TRational
 
 XYZ = ("x", "y", "z")
@@ -204,3 +213,42 @@ def test_resolution_rejects_json_booleans(key, value):
     doc[key] = value
     with pytest.raises(DocumentError):
         parse_resolution(doc)
+
+
+PARAMETRIZATION = [(3, 0, 1), (0, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ResolutionData.of((True, 3), [((3, 3), 1)]),
+        lambda: ResolutionData.of((1, 3), [((True, 3), 1)]),
+        lambda: ResolutionData.of((1, 3), [((3, 3), True)]),
+        lambda: ResolutionData.of((1, 3), [((3, 3), 1)], [(True, 3), (2, 4)]),
+        lambda: rbar_of_multiindex(EXAMPLE, (True, 1)),
+        lambda: ReesAlgebra([(Polynomial.coordinate(XYZ, "x"), True)]),
+        lambda: MonomialParametrization([(3, 0, True), (0, 2, 1)]),
+        lambda: sample_binomial_arc(QUINTIC, PARAMETRIZATION, (True, 1), 0),
+    ],
+    ids=["c", "d", "w", "coord_val", "multi-index", "weight", "exponent", "order"],
+)
+def test_library_refuses_booleans_as_integers(build):
+    # Every True stands where 1 is valid, so only the type is wrong.
+    with pytest.raises(PreconditionError, match="integer"):
+        build()
+
+
+@st.composite
+def resolution_data(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    coord_val = draw(st.lists(row, min_size=1, max_size=3))
+    c = [min(column) for column in zip(*coord_val)]
+    assume(any(c))
+    gens = draw(st.lists(st.tuples(row.filter(any), st.integers(1, 5)), min_size=1))
+    return ResolutionData.of(c, gens, draw(st.sampled_from([None, coord_val])))
+
+
+@given(resolution_data())
+def test_resolution_documents_roundtrip(data):
+    assert parse_resolution(resolution_to_doc(data)) == data

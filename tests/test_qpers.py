@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from arcinv.arcs import Arc, Hypersurface, monomial_arc
 from arcinv.errors import PreconditionError
-from arcinv.nash import nash_sequence
+from arcinv.nash import default_budget, nash_sequence
 from arcinv.polynomials import Polynomial
-from arcinv.qpers import check_floor_identity, check_limit_identity, q_persistance
+from arcinv.qpers import (
+    FloorCheck,
+    LimitRow,
+    check_floor_identity,
+    check_limit_identity,
+    q_persistance,
+)
 from arcinv.tseries import TRational
 
 XYZ = ("x", "y", "z")
@@ -83,6 +89,26 @@ def test_floor_identity_on_corpus(surface, powers):
     check = check_floor_identity(surface, monomial_arc(powers))
     assert check.passed is True
     assert check.rho == math.floor(check.result.r)
+
+
+def test_floor_identity_reports_the_budget_it_ran_with():
+    arc = monomial_arc((6, 6, 5))
+    short = check_floor_identity(QUINTIC, arc, budget=2)
+    assert short == FloorCheck(None, None, q_persistance(QUINTIC, arc), 2)
+    check = check_floor_identity(QUINTIC, arc)
+    assert check.passed is True
+    assert check.budget == default_budget(QUINTIC, arc) == 200
+
+
+def test_limit_identity_out_of_budget_is_inconclusive():
+    check = check_limit_identity(QUINTIC, monomial_arc((6, 6, 5)), n_max=3, budget=8)
+    assert check.rows[0] == LimitRow(1, 6, 6, True)
+    assert [(row.n, row.rho, row.ok) for row in check.rows[1:]] == [
+        (2, None, None),
+        (3, None, None),
+    ]
+    assert check.conclusive is False
+    assert check.passed is False
 
 
 @pytest.mark.parametrize("surface,powers", [(s, p) for s, p, *_ in FROZEN])

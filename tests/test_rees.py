@@ -121,6 +121,13 @@ def test_ord_along_arc_infinite_inside_the_locus():
     assert algebra.ord_along_arc(arc) == math.inf
 
 
+def test_ord_along_arc_in_weight_one_is_the_contact_order():
+    arc = monomial_arc((3, 2, 2))
+    coordinates = ReesAlgebra([(Polynomial.coordinate(XYZ, v), 1) for v in XYZ])
+    assert coordinates.ord_along_arc(arc) == 2
+    assert ReesAlgebra([(QUINTIC.f, 1)]).ord_along_arc(arc) == math.inf
+
+
 def test_ord_along_arc_checks_variables():
     quintic = diff_saturate(QUINTIC)
     with pytest.raises(PreconditionError):
