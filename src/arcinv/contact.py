@@ -84,6 +84,8 @@ class ResolutionData:
         if not self.contact_support:
             raise PreconditionError("every generator has zero multiplicities")
         if self.coord_val is not None:
+            if not self.coord_val:
+                raise PreconditionError("the coordinate valuation matrix is empty")
             for row in self.coord_val:
                 if len(row) != n:
                     raise PreconditionError("coordinate valuation row length mismatch")

@@ -12,7 +12,9 @@ terms; one integer pseudo-division serves ``divrem`` and ``t_gcd``.
 private helpers (``_lcm_form``, ``_lowest``, ``_sum``, ``_convolve``, ``_format``).
 ``TRational`` is a quotient of two ``TPoly`` kept in canonical form:
 gcd(num, den) = 1, den monic, den(0) != 0.  Canonical form makes structural
-equality coincide with mathematical equality.
+equality coincide with mathematical equality.  When one side of a gcd is a
+single term c*t^k, the gcd is t^min(orders) and cancelling it only shifts
+exponents.
 
 Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
 bool is refused rather than read as a binary expansion or as 0/1.
@@ -27,6 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Terms = dict[int, int]
+_UNIT: Terms = {0: 1}
 Nums = dict[Any, int]  # numerators keyed by a power of t or by an exponent tuple
 
 
@@ -194,6 +197,10 @@ class TPoly:
             return self.scale(other)
         if not isinstance(other, TPoly):
             return NotImplemented
+        if other._den == 1 and other._nums == _UNIT:
+            return self
+        if self._den == 1 and self._nums == _UNIT:
+            return other
         return TPoly._make(_convolve(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
@@ -208,7 +215,7 @@ class TPoly:
 
     def stretch(self, n: int) -> TPoly:
         """The substitution t -> t^n."""
-        if n < 1:
+        if not is_exponent(n) or n < 1:
             raise ValueError("ramification index must be a positive integer")
         return TPoly._make({p * n: c for p, c in self._nums.items()}, self._den)
 
@@ -290,8 +297,6 @@ def t_gcd(a: TPoly, b: TPoly) -> TPoly:
     u = {e - low_a: c for e, c in a._nums.items()}
     v = {e - low_b: c for e, c in b._nums.items()}
     shift = min(low_a, low_b)
-    if len(u) == 1 or len(v) == 1:
-        return TPoly.t(shift)
     if max(u) < max(v):
         u, v = v, u
     while v:
@@ -303,13 +308,40 @@ def t_gcd(a: TPoly, b: TPoly) -> TPoly:
     return TPoly._make({e + shift: c for e, c in u.items()}, u[max(u)])
 
 
+def _shift(poly: TPoly, k: int) -> TPoly:
+    """poly / t^k for k <= poly.order(); only the keys change, so no gcd."""
+    if not k:
+        return poly
+    shifted = object.__new__(TPoly)
+    shifted._nums = {e - k: c for e, c in poly._nums.items()}
+    shifted._den = poly._den
+    return shifted
+
+
 def _cancel(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
-    """num/g and den/g for g = gcd(num, den); den is nonzero."""
-    if den.degree > 0:
-        common = t_gcd(num, den)
-        if common.degree > 0:
-            return num.exact_div(common), den.exact_div(common)
+    """num/g and den/g for g = gcd(num, den); both are nonzero.
+
+    If either side is one term c*t^k, g = t^min(orders), an exponent shift.
+    """
+    if len(num._nums) == 1 or len(den._nums) == 1:
+        k = min(min(num._nums), min(den._nums))
+        return _shift(num, k), _shift(den, k)
+    common = t_gcd(num, den)
+    if common.degree > 0:
+        return num.exact_div(common), den.exact_div(common)
     return num, den
+
+
+def _monic(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
+    """Coprime num, den with den made monic; ValueError unless den(0) != 0."""
+    if 0 not in den._nums:
+        raise ValueError(
+            "denominator vanishes at t = 0; the quotient is not a power series"
+        )
+    lead = den._nums[den.degree]
+    if lead == den._den:
+        return num, den
+    return num.scale(Fraction(den._den, lead)), den.monic()
 
 
 class TRational:
@@ -323,18 +355,9 @@ class TRational:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            num, den = TPoly.zero(), TPoly.one()
+            self.num, self.den = num, TPoly.one()
         else:
-            num, den = _cancel(num, den)
-            lead = den.leading_coefficient
-            if lead != 1:
-                num, den = num.scale(1 / lead), den.monic()
-        if den.constant_term == 0:
-            raise ValueError(
-                "denominator vanishes at t = 0; the quotient is not a power series"
-            )
-        self.num = num
-        self.den = den
+            self.num, self.den = _monic(*_cancel(num, den))
 
     @classmethod
     def _canonical(cls, num: TPoly, den: TPoly) -> TRational:
@@ -364,7 +387,8 @@ class TRational:
         return self.num.order()
 
     def value_at_zero(self) -> Fraction:
-        return self.num.constant_term / self.den.constant_term
+        num, den = self.num, self.den
+        return Fraction(num._nums.get(0, 0) * den._den, num._den * den._nums[0])
 
     def ramify(self, n: int) -> TRational:
         """The substitution t -> t^n, multiplying all orders by n.
@@ -429,10 +453,25 @@ class TRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: TRational | TPoly | Scalar) -> TRational:
+        """Quotient by cross-cancellation, the rule of ``__mul__``.
+
+        For canonical a/b and p/q, (a/b) / (p/q) = aq / bp, and the only
+        factors that can cancel are g1 = gcd(a, p) and g2 = gcd(q, b).  So
+        (a/g1)(q/g2) / (b/g2)(p/g1) is in lowest terms once its denominator
+        is made monic: gcd(a, b) = gcd(p, q) = 1 leave no other common
+        factor.  As b(0) != 0, it is a power series iff (p/g1)(0) != 0, i.e.
+        iff the divisor's order at t = 0 is at most the dividend's.
+        """
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return TRational(self.num * rhs.den, self.den * rhs.num)
+        if rhs.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if self.is_zero:
+            return self
+        a, p = _cancel(self.num, rhs.num)
+        q, b = _cancel(rhs.den, self.den)
+        return TRational._canonical(*_monic(a * q, b * p))
 
     def __pow__(self, exponent: int) -> TRational:
         """Square-and-multiply with exactly floor(log2 k) squarings for k >= 1.
@@ -440,8 +479,8 @@ class TRational:
         The base is squared only while bits of k remain, so no power is built
         and then dropped.
         """
-        if exponent < 0:
-            raise ValueError("negative powers are not used; divide explicitly")
+        if not is_exponent(exponent):
+            raise ValueError(f"exponent {exponent!r} is not an integer >= 0")
         result, base, e = TRational.one(), self, exponent
         while e:
             if e & 1:

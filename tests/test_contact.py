@@ -82,6 +82,8 @@ def test_validation_rejects_bad_data():
     with pytest.raises(PreconditionError):
         # column minima of coord_val must reproduce c
         ResolutionData.of((2, 3), [((3, 3), 1)], coord_val=((3, 3), (3, 4), (3, 3)))
+    with pytest.raises(PreconditionError, match="coordinate valuation matrix is empty"):
+        ResolutionData.of((1,), [((1,), 1)], coord_val=[])
 
 
 def test_rbar_frozen_grid():

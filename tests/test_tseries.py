@@ -12,8 +12,9 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from arcinv.arcs import monomial_arc
 from arcinv.polynomials import Polynomial
-from arcinv.tseries import TPoly, TRational, t_gcd
+from arcinv.tseries import TPoly, TRational, _cancel, t_gcd
 
 T = sympy.Symbol("t")
 
@@ -82,6 +83,12 @@ XY = ("x", "y")
         lambda: TPoly.one().scale(0.5),
         lambda: TPoly.one().evaluate(0.5),
         lambda: Polynomial(XY, {(1, 1): 1}).evaluate((0.5, 1)),
+        lambda: TPoly.t().stretch(True),
+        lambda: TPoly.t().stretch(2.0),
+        lambda: TRational.t().ramify(True),
+        lambda: monomial_arc((2, 3)).ramify(True),
+        lambda: TRational.t() ** True,
+        lambda: TRational.t() ** 2.0,
     ],
     ids=[
         "tpoly-float-coeff",
@@ -92,6 +99,12 @@ XY = ("x", "y")
         "scale-float",
         "tpoly-evaluate-float",
         "polynomial-evaluate-float",
+        "stretch-bool",
+        "stretch-float",
+        "trational-ramify-bool",
+        "arc-ramify-bool",
+        "pow-bool",
+        "pow-float",
     ],
 )
 def test_inexact_scalars_are_refused(build):
@@ -185,14 +198,18 @@ def test_trational_rejects_vanishing_denominator():
         TRational(TPoly.one(), TPoly.zero())
 
 
-@given(trationals)
-def test_canonical_invariants(v):
+def assert_canonical(v):
     if v.is_zero:
         assert v.den == TPoly.one()
     else:
         assert v.den.constant_term != 0
         assert v.den.leading_coefficient == 1
         assert t_gcd(v.num, v.den) == TPoly.one()
+
+
+@given(trationals)
+def test_canonical_invariants(v):
+    assert_canonical(v)
 
 
 @given(trationals, trationals, trationals)
@@ -207,6 +224,51 @@ def test_division_inverts_multiplication(a):
     assume(not a.is_zero)
     assert (a * a) / a == a
     assert a / a == TRational.one()
+
+
+# Divisors that take the one-term shortcut with a coefficient that must be
+# divided out, and quotients whose denominator survives cancellation.
+one_terms = st.tuples(nonzero_coeffs.filter(lambda c: abs(c) != 1), st.integers(0, 4)).map(
+    lambda ck: TRational(TPoly({ck[1]: ck[0]}))
+)
+with_denominator = trationals.filter(lambda v: v.den.degree > 0)
+quotients = st.one_of(trationals, one_terms, with_denominator)
+# Powers of t in the dividend let divisors of positive order divide it.
+dividends = st.one_of(
+    st.tuples(quotients, st.integers(0, 4)).map(lambda vk: vk[0] * TRational.t(vk[1])),
+    st.just(TRational.zero()),
+)
+
+
+@given(dividends, quotients.filter(lambda v: not v.is_zero))
+def test_division_matches_the_full_gcd_route(a, b):
+    # Oracle: one gcd of the full cross products, through __init__.
+    try:
+        want = TRational(a.num * b.den, a.den * b.num)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a power series"):
+            a / b
+        return
+    got = a / b
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_canonical(got)
+
+
+def test_division_keeps_its_errors():
+    with pytest.raises(ValueError, match="not a power series"):
+        TRational.one() / TRational.t()
+    for x in [TRational.one(), TRational.zero(), TRational.t()]:
+        for zero in [TRational.zero(), TPoly.zero(), 0]:
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+
+
+@given(nonzero_tpolys, nonzero_coeffs, st.integers(0, 6))
+def test_cancel_of_one_term_is_the_gcd_route(p, c, k):
+    term = TPoly({k: c})
+    common = t_gcd(p, term)
+    for num, den in [(p, term), (term, p)]:
+        assert _cancel(num, den) == (num.exact_div(common), den.exact_div(common))
 
 
 # Inputs on which the square-and-multiply once ran past the default deadline.
@@ -252,12 +314,7 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
 
 
 def assert_canonical_product(product, a, b):
-    if product.is_zero:
-        assert product.den == TPoly.one()
-    else:
-        assert t_gcd(product.num, product.den) == TPoly.one()
-        assert product.den.leading_coefficient == 1
-        assert product.den.constant_term != 0
+    assert_canonical(product)
     assert product == TRational(a.num * b.num, a.den * b.den)
 
 
