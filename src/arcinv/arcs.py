@@ -170,7 +170,7 @@ class MonomialParametrization:
             raise PreconditionError(
                 "parametrization has the wrong number of coordinates"
             )
-        image = surface.f.map_exponents(
+        image = surface.f._map_exponents(
             lambda e: [sum(map(operator.mul, row, e)) for row in self.exponents],
             [f"u{i}" for i in range(self.parameter_count)],
         )

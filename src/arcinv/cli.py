@@ -256,15 +256,7 @@ def _cmd_bounds(job: JobSpec) -> tuple[list[str], dict, int]:
 
 def _cmd_verify(job: JobSpec) -> tuple[list[str], dict, int]:
     try:
-        results = run_suite(
-            job.suite,
-            n_max=job.n_max,
-            m_max=job.m_max,
-            seed=job.seed,
-            bound=job.bound,
-            samples=job.samples,
-            budget=job.budget,
-        )
+        results = run_suite(job.suite)
     except KeyError as exc:
         raise DocumentError(str(exc.args[0])) from exc
     lines = []
@@ -358,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
     p.add_argument("suite", nargs="?", default="all")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--budget", type=int)
     p.add_argument("--trace", action="store_true")
     add_format(p)
 

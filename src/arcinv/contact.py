@@ -38,6 +38,9 @@ from .tseries import is_exponent
 MultiIndex = tuple[int, ...]
 # Most box points a contact search may scan: about 14 s on a 2-vCPU Xeon VM.
 MAX_BOX_POINTS = 10**7
+# Most multi-indices one call may sample: about 4.7 s through ``bounds`` on the
+# bundled x2y3z6 data, on the same VM.
+MAX_SAMPLES = 10**5
 
 
 def _over_box_limit(search: str) -> BudgetExhausted:
@@ -328,9 +331,14 @@ def outside_bounds(data: ResolutionData, indices: Sequence[MultiIndex]) -> list[
 def sample_multiindices(
     data: ResolutionData, count: int, bound: int, seed: int
 ) -> list[MultiIndex]:
-    """Seeded random multi-indices in the box, none zero, deterministic."""
+    """Seeded random multi-indices in the box, none zero, deterministic.
+
+    A count over ``MAX_SAMPLES`` raises ``BudgetExhausted`` before any draw.
+    """
     if count < 1 or bound < 1:
         raise PreconditionError("need a positive sample count and box bound")
+    if count > MAX_SAMPLES:
+        raise BudgetExhausted(MAX_SAMPLES, f"{count} samples is over {MAX_SAMPLES}")
     rng = random.Random(seed)
     samples: list[MultiIndex] = []
     while len(samples) < count:

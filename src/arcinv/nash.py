@@ -140,7 +140,7 @@ def blowup_step(
         raise RuntimeError(
             "strict transform division is not exact; multiplicity bookkeeping broke"
         )
-    transform = state.transform.map_exponents(
+    transform = state.transform._map_exponents(
         lambda e: e[:chart] + (sum(e) - m,) + e[chart + 1 :]
     )
 
@@ -214,19 +214,14 @@ def nash_sequence(
     return NashReport(tuple(sequence), rho, False, budget, tuple(trace))
 
 
-def persistance(
-    surface: Hypersurface,
-    arc: Arc,
-    budget: int | None = None,
-    tie_break: TieBreak = "s_first",
-) -> int | float:
+def persistance(surface: Hypersurface, arc: Arc, budget: int | None = None) -> int | float:
     """Number of blow-ups the arc survives at the initial multiplicity.
 
     Returns infinity for arcs trapped in the maximal multiplicity locus and
     raises ``BudgetExhausted`` when the drop was not reached in the allowed
     number of steps.
     """
-    report = nash_sequence(surface, arc, max_steps=budget, tie_break=tie_break)
+    report = nash_sequence(surface, arc, max_steps=budget)
     if report.infinite:
         return math.inf
     if report.rho is None:

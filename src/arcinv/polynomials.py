@@ -72,10 +72,6 @@ class Polynomial:
         return poly
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> Polynomial:
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables: Sequence[str], value: Scalar) -> Polynomial:
         return cls(variables, {(0,) * len(tuple(variables)): value})
 
@@ -85,12 +81,6 @@ class Polynomial:
         index = variables.index(name)
         exponent = tuple(1 if i == index else 0 for i in range(len(variables)))
         return cls(variables, {exponent: 1})
-
-    @classmethod
-    def monomial(
-        cls, variables: Sequence[str], exponent: Sequence[int], coeff: Scalar = 1
-    ) -> Polynomial:
-        return cls(variables, {tuple(exponent): coeff})
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -228,13 +218,6 @@ class Polynomial:
             return self
         return Polynomial._make(self._variables, nums, den)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != len(self._variables):
-            raise ValueError("evaluation point has the wrong number of coordinates")
-        values = [exact(v) for v in point]
-        terms = (c * math.prod(map(pow, values, e)) for e, c in self._nums.items())
-        return sum(terms, Fraction(0)) / self._den
-
     def _compose_parts(self, values: Sequence[TRational]) -> tuple[TPoly, TPoly]:
         """Numerator and denominator of the substitution, as nested integer sums.
 
@@ -299,25 +282,27 @@ class Polynomial:
         num, _ = self._compose_parts(values)
         return num.order()
 
-    def map_exponents(
+    def _map_exponents(
         self, fn: Callable[..., Sequence[int]], variables: Sequence[str] | None = None
     ) -> Polynomial:
         """The sum of c_e x^fn(e), in ``variables`` (default: the same ones).
 
-        Coefficients whose exponents land on the same fn(e) are added.
+        Coefficients whose exponents land on the same fn(e) are added.  Nothing
+        is re-validated: every caller makes each fn(e) a valid exponent.
         """
         nums: dict[Exponent, int] = {}
         for e, c in self._nums.items():
             key = tuple(fn(e))
             nums[key] = nums.get(key, 0) + c
-        variables = _checked(self._variables if variables is None else variables, nums)
+        variables = self._variables if variables is None else tuple(variables)
         return Polynomial._make(variables, nums, self._den)
 
     def extend_variables(self, extra: Sequence[str]) -> Polynomial:
         """The same polynomial viewed in a ring with extra trailing variables."""
         extra = tuple(extra)
+        variables = _checked(self._variables + extra, ())
         pad = (0,) * len(extra)
-        return self.map_exponents(lambda e: e + pad, self._variables + extra)
+        return self._map_exponents(lambda e: e + pad, variables)
 
     def __str__(self) -> str:
         def monomial(e: Exponent) -> str:

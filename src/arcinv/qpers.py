@@ -22,9 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arcs import Arc, Hypersurface
-from .errors import PreconditionError
+from .errors import BudgetExhausted, PreconditionError
 from .nash import nash_sequence
 from .rees import ReesAlgebra, diff_saturate
+
+# Largest n_max of a limit-identity table: 1.9-2.6 s for the bundled x2y3z6
+# arcs (r = 6) on a 2-vCPU Xeon VM, and the cost grows faster than n_max^2.
+MAX_RAMIFICATION = 100
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,13 @@ def check_limit_identity(
 
     Each row also confirms the convergence bound |rho_n / n - r| <= 1/n.
     Rows where the engine exhausts its budget are inconclusive and make the
-    whole check fail conservatively.
+    whole check fail conservatively.  An n_max over ``MAX_RAMIFICATION``
+    raises ``BudgetExhausted`` before any row.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
+    if n_max > MAX_RAMIFICATION:
+        raise BudgetExhausted(MAX_RAMIFICATION, f"n_max {n_max} is over {MAX_RAMIFICATION}")
     base = q_persistance(surface, arc)
     if not base.is_finite:
         raise PreconditionError(

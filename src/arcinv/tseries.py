@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Terms = dict[int, int]
@@ -134,11 +134,6 @@ class TPoly:
     def t(cls, power: int = 1) -> TPoly:
         return cls({power: 1})
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar]) -> TPoly:
-        """Build from a dense coefficient list, constant term first."""
-        return cls({i: c for i, c in enumerate(coeffs)})
-
     @property
     def is_zero(self) -> bool:
         return not self._nums
@@ -151,16 +146,6 @@ class TPoly:
     def order(self) -> int | float:
         """Vanishing order at t = 0; infinity for the zero polynomial."""
         return min(self._nums) if self._nums else math.inf
-
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self._nums.get(0, 0), self._den)
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self._nums:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self._nums[self.degree], self._den)
 
     def items(self) -> list[tuple[int, Fraction]]:
         return [(p, Fraction(c, self._den)) for p, c in sorted(self._nums.items())]
@@ -218,11 +203,6 @@ class TPoly:
         if not is_exponent(n) or n < 1:
             raise ValueError("ramification index must be a positive integer")
         return TPoly._make({p * n: c for p, c in self._nums.items()}, self._den)
-
-    def evaluate(self, point: Scalar) -> Fraction:
-        point = exact(point)
-        total = sum((c * point**p for p, c in self._nums.items()), Fraction(0))
-        return total / self._den
 
     def divrem(self, divisor: TPoly) -> tuple[TPoly, TPoly]:
         """Euclidean division: self = q * divisor + r with deg r < deg divisor."""
@@ -381,6 +361,9 @@ class TRational:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
 
     def t_order(self) -> int | float:
         """Vanishing order at t = 0; infinity for the zero function."""

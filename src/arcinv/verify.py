@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .arcs import Arc, Hypersurface, MonomialParametrization, monomial_arc, sample_binomial_arc
 from .contact import (
@@ -31,7 +31,6 @@ from .contact import (
     sample_multiindices,
     values_bounds,
 )
-from .errors import PreconditionError
 from .nash import nash_sequence
 from .polynomials import Polynomial
 from .qpers import check_floor_identity, check_limit_identity, q_persistance
@@ -129,6 +128,17 @@ SAMPLE_TYPES = [
 ]
 
 
+# Contact types (a, b) with 1 <= a + b <= GRID_SPAN: the grid the closed form
+# is checked on and whose extrema are attained.
+GRID_SPAN = 8
+GRID = [
+    (alpha, beta)
+    for alpha in range(GRID_SPAN + 1)
+    for beta in range(GRID_SPAN + 1)
+    if 1 <= alpha + beta <= GRID_SPAN
+]
+
+
 def sampled_arc(alpha: int, beta: int, seed: int) -> Arc:
     """Seeded random arc on the reference surface with contact type (a, b)."""
     orders = (alpha + beta, alpha + 2 * beta)
@@ -155,24 +165,19 @@ def check_center_order() -> CheckResult:
     )
 
 
-def check_rbar_grid(span: int = 8) -> CheckResult:
+def check_rbar_grid() -> CheckResult:
     """Normalized orders match min{3a+3b, 2a+4b, (6/5)(2a+3b)} / (2a+3b)."""
     data = x2y3z6_resolution()
     failures = []
-    count = 0
-    for alpha in range(span + 1):
-        for beta in range(span + 1):
-            if not 1 <= alpha + beta <= span:
-                continue
-            count += 1
-            got = rbar_of_multiindex(data, (alpha, beta))
-            want = x2y3z6_grid_value(alpha, beta)
-            if got != want:
-                failures.append(
-                    f"(a,b)=({alpha},{beta}): got {format_rational(got)}, "
-                    f"want {format_rational(want)}"
-                )
-    details = [f"{count} grid points with 1 <= a+b <= {span}"] + failures
+    for alpha, beta in GRID:
+        got = rbar_of_multiindex(data, (alpha, beta))
+        want = x2y3z6_grid_value(alpha, beta)
+        if got != want:
+            failures.append(
+                f"(a,b)=({alpha},{beta}): got {format_rational(got)}, "
+                f"want {format_rational(want)}"
+            )
+    details = [f"{len(GRID)} grid points with 1 <= a+b <= {GRID_SPAN}"] + failures
     return CheckResult(
         "rbar-grid",
         "normalized orders over the multi-index grid match the closed form",
@@ -181,15 +186,12 @@ def check_rbar_grid(span: int = 8) -> CheckResult:
     )
 
 
-def check_odd_levels(levels: Sequence[int] = (11, 13, 17, 19, 23)) -> CheckResult:
+def check_odd_levels() -> CheckResult:
     """At odd contact levels n = 2m+1 the component (m-1, 1) realizes 1 + 1/n."""
     data = x2y3z6_resolution()
     failures = []
     details = []
-    for n in levels:
-        if n % 2 == 0:
-            failures.append(f"level {n} is not odd")
-            continue
+    for n in (11, 13, 17, 19, 23):
         m = (n - 1) // 2
         components = fat_components(data, n, max(40, n))
         values = {l: rbar_of_multiindex(data, l) for l in components}
@@ -218,11 +220,12 @@ def check_odd_levels(levels: Sequence[int] = (11, 13, 17, 19, 23)) -> CheckResul
     )
 
 
-def check_delta_multiples(n_max: int = 10) -> CheckResult:
+def check_delta_multiples() -> CheckResult:
     """delta at every multiple of a divisor multiplicity equals the order 1."""
     data = x2y3z6_resolution()
     order = hironaka_order(data)
     failures = []
+    n_max = 10
     for c_i in (2, 3):
         for n in range(1, n_max + 1):
             value = delta(data, n * c_i)
@@ -239,12 +242,10 @@ def check_delta_multiples(n_max: int = 10) -> CheckResult:
     )
 
 
-def check_delta_envelope(m_max: int = 60) -> CheckResult:
-    """delta_m stays in [1, 1 + 3/m] for m <= m_max, with delta_13 = 14/13."""
-    if m_max < 13:
-        raise PreconditionError("m_max must be at least 13 to pin delta_13")
-    data = x2y3z6_resolution()
-    result = delta_limit_check(data, m_max)
+def check_delta_envelope() -> CheckResult:
+    """delta_m stays in [1, 1 + 3/m] for m <= 60, with delta_13 = 14/13."""
+    m_max = 60
+    result = delta_limit_check(x2y3z6_resolution(), m_max)
     failures = [
         f"m={row.m}: delta = {format_rational(row.value)} outside the envelope"
         for row in result.rows
@@ -274,29 +275,20 @@ def _containment_datasets() -> list[tuple[str, ResolutionData]]:
     ]
 
 
-def check_values_containment(
-    samples: int = 500, seed: int = 0, bound: int = 8
-) -> CheckResult:
-    """Sampled normalized orders always sit between the exact bounds."""
+def check_values_containment() -> CheckResult:
+    """500 sampled normalized orders (seed 0, box 8) sit between the exact bounds."""
     failures = []
     details = []
     for name, data in _containment_datasets():
         lower, upper = values_bounds(data)
-        drawn = sample_multiindices(data, samples, bound, seed)
+        drawn = sample_multiindices(data, count=500, bound=8, seed=0)
         bad = outside_bounds(data, drawn)
         details.append(
             f"{name}: {len(drawn)} samples in [{format_rational(lower)}, "
             f"{format_rational(upper)}], {len(bad)} outside"
         )
         failures.extend(f"{name}: {format_multiindex(l)} outside bounds" for l in bad)
-    data = x2y3z6_resolution()
-    grid = [
-        (alpha, beta)
-        for alpha in range(9)
-        for beta in range(9)
-        if 1 <= alpha + beta <= 8
-    ]
-    extrema = rbar_extrema(data, grid)
+    extrema = rbar_extrema(x2y3z6_resolution(), GRID)
     details.append(
         f"grid extrema: min {format_rational(extrema.minimum)} at "
         f"{format_multiindex(extrema.argmin)}, max {format_rational(extrema.maximum)} "
@@ -314,7 +306,7 @@ def check_values_containment(
     )
 
 
-def check_divisorial_minimum(seeds: int = 5) -> CheckResult:
+def check_divisorial_minimum() -> CheckResult:
     """Over seeded arcs the minimum normalized order is 1, never less.
 
     Also cross-checks every sampled arc against the closed form from the
@@ -327,6 +319,7 @@ def check_divisorial_minimum(seeds: int = 5) -> CheckResult:
     exceptional = []
     values = {}
     total = 0
+    seeds = 5
     for alpha, beta in SAMPLE_TYPES:
         want = rbar_of_multiindex(data, (alpha, beta))
         for seed in range(seeds):
@@ -363,12 +356,12 @@ def check_divisorial_minimum(seeds: int = 5) -> CheckResult:
     )
 
 
-def check_floor_corpus(sample_count: int = 20, budget: int | None = None) -> CheckResult:
+def check_floor_corpus() -> CheckResult:
     """Blow-up persistance equals floor of the rational invariant."""
     failures = []
     details = []
     for name, surface, arc in corpus():
-        outcome = check_floor_identity(surface, arc, budget)
+        outcome = check_floor_identity(surface, arc)
         details.append(
             f"{name}: rho = {outcome.rho}, floor(r) = {outcome.result.floor_r}"
         )
@@ -377,24 +370,19 @@ def check_floor_corpus(sample_count: int = 20, budget: int | None = None) -> Che
         elif not outcome.passed:
             failures.append(f"{name}: rho != floor(r)")
     surface = x2y3z6_surface()
-    count = 0
-    for alpha, beta in SAMPLE_TYPES[:4]:
-        for seed in range(5):
-            if count >= sample_count:
-                break
-            count += 1
-            arc = sampled_arc(alpha, beta, seed)
-            outcome = check_floor_identity(surface, arc, budget)
-            if outcome.passed is None:
-                failures.append(
-                    f"sample ({alpha},{beta},{seed}): inconclusive within budget"
-                )
-            elif not outcome.passed:
-                failures.append(
-                    f"sample ({alpha},{beta},{seed}): rho = {outcome.rho} != "
-                    f"floor(r) = {outcome.result.floor_r}"
-                )
-    details.append(f"{count} seeded sampled arcs checked")
+    samples = [(alpha, beta, seed) for alpha, beta in SAMPLE_TYPES[:4] for seed in range(5)]
+    for alpha, beta, seed in samples:
+        outcome = check_floor_identity(surface, sampled_arc(alpha, beta, seed))
+        if outcome.passed is None:
+            failures.append(
+                f"sample ({alpha},{beta},{seed}): inconclusive within budget"
+            )
+        elif not outcome.passed:
+            failures.append(
+                f"sample ({alpha},{beta},{seed}): rho = {outcome.rho} != "
+                f"floor(r) = {outcome.result.floor_r}"
+            )
+    details.append(f"{len(samples)} seeded sampled arcs checked")
     return CheckResult(
         "floor-identity",
         "persistance equals floor(r) on the corpus and on sampled arcs",
@@ -403,10 +391,11 @@ def check_floor_corpus(sample_count: int = 20, budget: int | None = None) -> Che
     )
 
 
-def check_limit_corpus(n_max: int = 20) -> CheckResult:
-    """Ramified persistances follow floor(n*r) for n up to n_max."""
+def check_limit_corpus() -> CheckResult:
+    """Ramified persistances follow floor(n*r) for n up to 20."""
     failures = []
     details = []
+    n_max = 20
     for name, surface, arc in corpus():
         outcome = check_limit_identity(surface, arc, n_max)
         details.append(
@@ -426,7 +415,7 @@ def check_limit_corpus(n_max: int = 20) -> CheckResult:
     )
 
 
-def check_presentation_crosscheck(sample_count: int = 8) -> CheckResult:
+def check_presentation_crosscheck() -> CheckResult:
     """The differential and the hand presentation give equal arc orders."""
     surface = x2y3z6_surface()
     diff_algebra = diff_saturate(surface)
@@ -437,7 +426,7 @@ def check_presentation_crosscheck(sample_count: int = 8) -> CheckResult:
         ("t^3,t^2,t^2", monomial_arc((3, 2, 2))),
         ("t^6,t^6,t^5", monomial_arc((6, 6, 5))),
     ]
-    for i in range(sample_count):
+    for i in range(8):
         alpha, beta = SAMPLE_TYPES[i % len(SAMPLE_TYPES)]
         arcs.append((f"sample ({alpha},{beta},{i})", sampled_arc(alpha, beta, i)))
     for name, arc in arcs:
@@ -481,13 +470,13 @@ def check_tiebreak_invariance() -> CheckResult:
     )
 
 
-def check_ramification_invariance(indices: Sequence[int] = (2, 3, 5)) -> CheckResult:
+def check_ramification_invariance() -> CheckResult:
     """r scales by n under t -> t^n while r/nu stays fixed."""
     failures = []
     details = []
     for name, surface, arc in corpus():
         base = q_persistance(surface, arc)
-        for n in indices:
+        for n in (2, 3, 5):
             rammed = q_persistance(surface, arc.ramify(n))
             if rammed.r != n * base.r or rammed.r_bar != base.r_bar:
                 failures.append(
@@ -524,42 +513,32 @@ def check_stabilization() -> CheckResult:
     )
 
 
-CheckEntry = tuple[Callable[..., CheckResult], tuple[str, ...]]
-
-SUITES: dict[str, list[CheckEntry]] = {
+SUITES: dict[str, list[Callable[[], CheckResult]]] = {
     "x2y3z6": [
-        (check_center_order, ()),
-        (check_rbar_grid, ()),
-        (check_odd_levels, ()),
-        (check_delta_multiples, ()),
-        (check_delta_envelope, ("m_max",)),
-        (check_values_containment, ("samples", "seed", "bound")),
-        (check_divisorial_minimum, ()),
-        (check_presentation_crosscheck, ()),
+        check_center_order,
+        check_rbar_grid,
+        check_odd_levels,
+        check_delta_multiples,
+        check_delta_envelope,
+        check_values_containment,
+        check_divisorial_minimum,
+        check_presentation_crosscheck,
     ],
     "corpus": [
-        (check_floor_corpus, ("budget",)),
-        (check_limit_corpus, ("n_max",)),
-        (check_tiebreak_invariance, ()),
-        (check_ramification_invariance, ()),
-        (check_stabilization, ()),
+        check_floor_corpus,
+        check_limit_corpus,
+        check_tiebreak_invariance,
+        check_ramification_invariance,
+        check_stabilization,
     ],
 }
 SUITES["all"] = SUITES["x2y3z6"] + SUITES["corpus"]
 
 
-def run_suite(name: str, **overrides) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     """Run a named suite; unknown names raise KeyError with the options."""
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    results = []
-    for check, accepted in SUITES[name]:
-        kwargs = {
-            key: overrides[key]
-            for key in accepted
-            if overrides.get(key) is not None
-        }
-        results.append(check(**kwargs))
-    return results
+    return [check() for check in SUITES[name]]

@@ -47,39 +47,39 @@ def test_criterion_1_example_reproduction():
     ok = (
         hironaka_order(data) == 1
         and check_center_order().passed
-        and check_rbar_grid(span=8).passed
-        and check_odd_levels((11, 13, 17, 19, 23)).passed
+        and check_rbar_grid().passed
+        and check_odd_levels().passed
     )
     verdict(1, ok, "worked example reproduced exactly (order, grid, odd levels)")
 
 
 def test_criterion_2_floor_identity():
-    check = check_floor_corpus(sample_count=20)
+    check = check_floor_corpus()
     verdict(2, check.passed, "blow-up persistance equals floor(r) on corpus and samples")
 
 
 def test_criterion_3_limit_identity():
-    check = check_limit_corpus(n_max=20)
+    check = check_limit_corpus()
     verdict(3, check.passed, "ramified persistance equals floor(n*r) for n = 1..20")
 
 
 def test_criterion_4_delta_at_multiples():
-    check = check_delta_multiples(n_max=10)
+    check = check_delta_multiples()
     verdict(4, check.passed, "delta at multiples of the divisor multiplicities equals the order")
 
 
 def test_criterion_5_delta_envelope():
-    check = check_delta_envelope(m_max=60)
+    check = check_delta_envelope()
     verdict(5, check.passed, "delta_m within [ord, ord*(1 + 3/m)] for m = 1..60, not all equal")
 
 
 def test_criterion_6_values_containment():
-    check = check_values_containment(samples=500, seed=0, bound=8)
+    check = check_values_containment()
     verdict(6, check.passed, "500 sampled normalized orders inside the exact bounds, extrema attained")
 
 
 def test_criterion_7_divisorial_minimum():
-    check = check_divisorial_minimum(seeds=5)
+    check = check_divisorial_minimum()
     verdict(7, check.passed, "50 seeded arcs: minimum normalized order is 1, never below")
 
 

@@ -22,7 +22,7 @@ CUSP = Hypersurface(Polynomial(("x", "y"), {(2, 0): 1, (0, 3): -1}))
 
 def test_hypersurface_rejects_units_and_zero():
     with pytest.raises(PreconditionError):
-        Hypersurface(Polynomial.zero(XYZ))
+        Hypersurface(Polynomial(XYZ, {}))
     with pytest.raises(PreconditionError):
         Hypersurface(Polynomial(XYZ, {(0, 0, 0): 1, (1, 0, 0): 1}))
 

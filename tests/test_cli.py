@@ -228,30 +228,39 @@ def test_deeply_nested_json_exits_2(docs, tmp_path, capsys):
     assert "nests too deeply" in out
 
 
-def test_delta_envelope_needs_level_13(capsys):
-    code = main(["verify", "x2y3z6", "--m-max", "5"])
-    out = capsys.readouterr().out
-    assert code == 3
-    assert "precondition violated" in out
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--seed", "--bound", "--samples",
+                                  "--budget"])
+def test_verify_suites_take_no_tuning_flags(flag, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "x2y3z6", flag, "100000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refusal",
     [
-        ["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"), "--m", "100000"],
-        ["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"),
-         "--m-max", "100000"],
-        ["verify", "x2y3z6", "--m-max", "100000"],
+        (["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"), "--m", "100000"],
+         "10000000 points"),
+        (["contact", "--resolution", str(DATA / "x2y3z6_resolution.json"),
+          "--m-max", "100000"], "10000000 points"),
+        (["bounds", "--resolution", str(DATA / "x2y3z6_resolution.json"),
+          "--samples", "100000000"], "100000000 samples is over 100000"),
+        (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
+          "--arc", str(DATA / "arc_t6_t6_t5.json"), "--n-max", "100000"],
+         "n_max 100000 is over 100"),
     ],
-    ids=["contact-m", "contact-m-max", "verify-m-max"],
+    ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max"],
 )
-def test_oversized_search_box_exits_4_before_the_scan(argv, capsys):
+def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, capsys):
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     assert code == 4
-    assert out.startswith("inconclusive:") and "10000000 points" in out
+    assert out.startswith("inconclusive:") and refusal in out
     assert elapsed < 1
 
 

@@ -145,7 +145,7 @@ def test_unknown_tiebreak_rejected():
 
 def _on_quintic(u, v):
     """The arc (u^3, v^2, u v) on QUINTIC, for u, v given by coefficient lists."""
-    return x2y3z6_parametrization().arc([TPoly.from_coeffs(u), TPoly.from_coeffs(v)])
+    return x2y3z6_parametrization().arc([TPoly(dict(enumerate(c))) for c in (u, v)])
 
 
 # Arcs whose runs mix center-0 and translating steps in s and coordinate
@@ -167,7 +167,7 @@ def perturbed_states(draw):
     surface, arc = draw(st.sampled_from(ARCS_ON_SURFACES))
     n = draw(st.integers(2, 10))
     deltas = [
-        TRational(TPoly.from_coeffs(draw(st.lists(st.integers(-3, 3), max_size=2))))
+        TRational(TPoly(dict(enumerate(draw(st.lists(st.integers(-3, 3), max_size=2))))))
         for _ in arc.components
     ]
     lifted = tuple(
@@ -261,11 +261,11 @@ def jet_multiplicities(surface, arc, length):
     for k in range(length):
         images = []
         for comp, xi in zip(arc.components, x):
-            jet = Polynomial.zero(variables)
+            jet = Polynomial(variables, {})
             for j, c in enumerate(_taylor(comp, k)):
                 jet = jet + s**j * c
             images.append(jet + s**k * xi)
-        g = Polynomial.zero(variables)
+        g = Polynomial(variables, {})
         for exponent, coeff in surface.f.items():
             term = Polynomial.constant(variables, coeff)
             for image, e in zip(images, exponent):

@@ -61,13 +61,13 @@ def test_mismatched_variables_rejected():
 def test_order_at_origin():
     p = Polynomial(VARS, {(2, 3, 0): 1, (0, 0, 6): -1})
     assert p.order_at_origin() == 5
-    assert Polynomial.zero(VARS).order_at_origin() == math.inf
+    assert Polynomial(VARS, {}).order_at_origin() == math.inf
 
 
 def test_coordinate_and_monomial():
-    x = Polynomial.coordinate(VARS, "x")
+    x, y = (Polynomial.coordinate(VARS, name) for name in "xy")
     assert x.items() == [((1, 0, 0), Fraction(1))]
-    m = Polynomial.monomial(VARS, (1, 2, 0), Fraction(3))
+    m = Fraction(3) * x * y**2
     assert m.items() == [((1, 2, 0), Fraction(3))]
 
 
@@ -97,7 +97,9 @@ def test_translate_matches_sympy(p, point):
 
 @given(polys, st.tuples(coeffs, coeffs, coeffs))
 def test_evaluate_matches_translate_constant_term(p, point):
-    assert p.evaluate(point) == p.translate(point).constant_term
+    subs = {s: sympy.Rational(a.numerator, a.denominator) for s, a in zip(SYMS, point)}
+    constant = p.translate(point).constant_term
+    assert to_sympy(p).subs(subs) == sympy.Rational(constant.numerator, constant.denominator)
 
 
 @settings(deadline=None)
@@ -115,16 +117,6 @@ def test_compose_with_polynomials_matches_sympy(p, a, b, c):
 def test_compose_order_agrees_with_compose(p, a, b, c):
     values = [TRational(a), TRational(b), TRational(c)]
     assert p.compose_order(values) == p.compose(values).t_order()
-
-
-@given(polys, st.tuples(small_tpolys, small_tpolys, small_tpolys))
-def test_compose_respects_evaluation(p, parts):
-    """Composing then evaluating at a rational point equals evaluating first."""
-    values = [TRational(q) for q in parts]
-    point = Fraction(1, 3)
-    composed = p.compose(values)
-    direct = p.evaluate([q.evaluate(point) for q in parts])
-    assert composed.num.evaluate(point) == direct * composed.den.evaluate(point)
 
 
 # Quotients n/d with rational coefficients and d(0) != 0, d not monic: the
@@ -219,21 +211,13 @@ def test_extend_variables():
 
 def test_map_exponents_adds_the_terms_that_collide():
     p = Polynomial(("x", "y"), {(2, 0): 1, (1, 1): Fraction(1, 2), (0, 2): Fraction(-3, 2)})
-    assert p.map_exponents(lambda e: (sum(e),), ("u",)) == Polynomial.zero(("u",))
-    assert p.map_exponents(lambda e: (max(e), 0)) == Polynomial(
+    assert p._map_exponents(lambda e: (sum(e),), ("u",)) == Polynomial(("u",), {})
+    assert p._map_exponents(lambda e: (max(e), 0)) == Polynomial(
         ("x", "y"), {(2, 0): Fraction(-1, 2), (1, 0): Fraction(1, 2)}
     )
-    assert p.map_exponents(lambda e: (e[1], e[0])) == Polynomial(
+    assert p._map_exponents(lambda e: (e[1], e[0])) == Polynomial(
         ("x", "y"), {(0, 2): 1, (1, 1): Fraction(1, 2), (2, 0): Fraction(-3, 2)}
     )
-    for fn, variables in [
-        (lambda e: (e[0] - 1, e[1]), None),
-        (lambda e: e, ("x",)),
-        (lambda e: e, ("x", "x")),
-        (lambda e: (Fraction(e[0]), e[1]), None),
-    ]:
-        with pytest.raises(ValueError):
-            p.map_exponents(fn, variables)
     with pytest.raises(ValueError):
         p.extend_variables(("x",))
 
@@ -248,7 +232,7 @@ def assert_lowest_terms(p):
 
 @given(polys, polys, coeffs, st.tuples(coeffs, coeffs, coeffs), st.sampled_from(VARS))
 def test_stored_form_is_unique(p, q, factor, point, var):
-    merged = p.map_exponents(lambda e: (e[0] + e[1], 0, e[2]))
+    merged = p._map_exponents(lambda e: (e[0] + e[1], 0, e[2]))
     for result in [p + q, p - q, p - p, p * q, p * factor, p * 0, p.translate(point),
                    p.partial_derivative(var), merged, p.extend_variables(("s",))]:
         assert_lowest_terms(result)
