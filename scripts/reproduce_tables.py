@@ -5,11 +5,15 @@ Covers: the order at the center by three independent routes, the grid of
 normalized orders over contact multi-indices, the delta table with its
 envelope, fat components at odd contact levels, and the exact bounds with
 seeded samples.  Everything is exact; the script has no randomness beyond
-the stated seeds.
+the stated seeds.  A refused input ends as in the ``arcinv`` command line:
+exit code 4 for an exhausted budget or search box, 3 for a violated
+precondition.
 """
 
 import argparse
+import sys
 
+from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION
 from arcinv.contact import (
     delta,
     fat_components,
@@ -19,6 +23,7 @@ from arcinv.contact import (
     sample_multiindices,
     values_bounds,
 )
+from arcinv.errors import BudgetExhausted, PreconditionError
 from arcinv.nash import nash_sequence
 from arcinv.qpers import q_persistance
 from arcinv.rees import diff_saturate
@@ -99,19 +104,27 @@ def arc_report() -> None:
     print(f"(differential presentation: {len(generators)} weighted generators)")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--span", type=int, default=8)
     parser.add_argument("--m-max", type=int, default=13)
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    grid_table(args.span)
-    delta_table(args.m_max)
-    odd_levels((11, 13, 17, 19, 23))
-    bounds_report(args.samples, args.seed)
-    arc_report()
+    try:
+        grid_table(args.span)
+        delta_table(args.m_max)
+        odd_levels((11, 13, 17, 19, 23))
+        bounds_report(args.samples, args.seed)
+        arc_report()
+    except BudgetExhausted as exc:
+        print(f"inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
+    except PreconditionError as exc:
+        print(f"precondition violated: {exc}")
+        return EXIT_PRECONDITION
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,6 +5,11 @@ polynomial is the empty map.  The hypersurface equations treated here and
 all their transforms under point blow-ups stay sparse, so this is both the
 simplest and the fastest representation for the job.
 
+``Polynomial`` is the engine's transform type, not a ring: it has no
+arithmetic operators.  A blow-up needs only ``translate``,
+``partial_derivative``, ``_map_exponents`` and the pullback along an arc
+(``compose``, ``compose_order``).
+
 Coefficients are kept in the integer form of ``TPoly`` (numerators over one
 denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
 ``items()`` show them as ``Fraction``s.  No floats enter at any point
@@ -14,12 +19,11 @@ denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .tseries import TPoly, TRational, _convolve, _format, _lcm_form, _lowest, _sum
+from .tseries import _UNIT, TPoly, TRational, _convolve, _format, _lcm_form, _lowest
 from .tseries import exact, is_exponent
 
 Scalar = Union[int, Fraction]
@@ -37,16 +41,9 @@ def _checked(variables: Sequence[str], exponents: Iterable) -> tuple[str, ...]:
     return variables
 
 
-def _add_exponents(e: Exponent, f: Exponent) -> Exponent:
-    return tuple(map(operator.add, e, f))
-
-
-_ONE = {0: 1}
-
-
 def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two maps from powers of t to integers; free when one is 1."""
-    return b if a == _ONE else a if b == _ONE else _convolve(a, b)
+    return b if a == _UNIT else a if b == _UNIT else _convolve(a, b)
 
 
 class Polynomial:
@@ -70,10 +67,6 @@ class Polynomial:
         poly._variables = variables
         poly._nums, poly._den = _lowest(nums, den)
         return poly
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], value: Scalar) -> Polynomial:
-        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def coordinate(cls, variables: Sequence[str], name: str) -> Polynomial:
@@ -110,59 +103,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self._variables, self._den, frozenset(self._nums.items())))
-
-    def _check_same_variables(self, other: Polynomial) -> None:
-        if self._variables != other._variables:
-            raise ValueError(
-                f"variable mismatch: {self._variables!r} vs {other._variables!r}"
-            )
-
-    def __neg__(self) -> Polynomial:
-        return self * -1
-
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self._variables, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_same_variables(other)
-        return Polynomial._make(
-            self._variables, *_sum(self._nums, self._den, other._nums, other._den)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self._variables, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return (-self) + other
-
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            factor = exact(other)
-            nums = {e: c * factor.numerator for e, c in self._nums.items()}
-            den = self._den * factor.denominator
-            return Polynomial._make(self._variables, nums, den)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_same_variables(other)
-        nums = _convolve(self._nums, other._nums, _add_exponents)
-        return Polynomial._make(self._variables, nums, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Polynomial:
-        if exponent < 0:
-            raise ValueError("negative powers of a polynomial are undefined")
-        result = Polynomial.constant(self._variables, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     @property
     def constant_term(self) -> Fraction:
@@ -245,7 +185,7 @@ class Polynomial:
             p = {k: c * b for k, c in n.items()}
             q = {k: c * a for k, c in d.items()}
             top = max(column)
-            p_pow, q_pow = [_ONE], [_ONE]
+            p_pow, q_pow = [_UNIT], [_UNIT]
             for _ in range(top):
                 p_pow.append(_times(p_pow[-1], p))
                 q_pow.append(_times(q_pow[-1], q))
@@ -257,7 +197,7 @@ class Polynomial:
             for prefix, inner in level.items():
                 factor = factors[i][prefix[-1]]
                 # Not _times, which may return the shared factor for acc to change.
-                product = inner if factor == _ONE else _convolve(factor, inner)
+                product = inner if factor == _UNIT else _convolve(factor, inner)
                 acc = upper.setdefault(prefix[:-1], product)
                 if acc is not product:
                     for power, v in product.items():

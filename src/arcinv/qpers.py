@@ -23,12 +23,13 @@ from fractions import Fraction
 
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
-from .nash import nash_sequence
+from .nash import default_budget, nash_sequence
 from .rees import ReesAlgebra, diff_saturate
 
-# Largest n_max of a limit-identity table: 1.9-2.6 s for the bundled x2y3z6
-# arcs (r = 6) on a 2-vCPU Xeon VM, and the cost grows faster than n_max^2.
-MAX_RAMIFICATION = 100
+# Largest step budget of a limit-identity table, summed over its rows: the
+# bundled x2y3z6 arcs (b = 5, nu = 5) at n_max = 100, 8 * 5 * 5 * 5050 steps,
+# which take 1.9-2.6 s on a 2-vCPU Xeon VM.
+MAX_TABLE_STEPS = 1_010_000
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,23 @@ def check_limit_identity(
 
     Each row also confirms the convergence bound |rho_n / n - r| <= 1/n.
     Rows where the engine exhausts its budget are inconclusive and make the
-    whole check fail conservatively.  An n_max over ``MAX_RAMIFICATION``
-    raises ``BudgetExhausted`` before any row.
+    whole check fail conservatively.  Row n may take ``budget`` steps, or
+    ``default_budget`` of the ramified arc, 8*b*nu*n; a table whose row
+    budgets sum to over ``MAX_TABLE_STEPS`` raises ``BudgetExhausted``
+    before any row.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
-    if n_max > MAX_RAMIFICATION:
-        raise BudgetExhausted(MAX_RAMIFICATION, f"n_max {n_max} is over {MAX_RAMIFICATION}")
+    if budget is None:
+        steps = default_budget(surface, arc) * n_max * (n_max + 1) // 2
+    else:
+        steps = budget * n_max
+    if steps > MAX_TABLE_STEPS:
+        raise BudgetExhausted(
+            MAX_TABLE_STEPS,
+            f"the table up to n_max {n_max} has a step budget of {steps}, "
+            f"over {MAX_TABLE_STEPS}",
+        )
     base = q_persistance(surface, arc)
     if not base.is_finite:
         raise PreconditionError(

@@ -2,14 +2,16 @@
 
 Arc coordinates are stored as rational functions p(t)/q(t) with q(0) != 0.
 Such a quotient is a well defined formal power series at t = 0, and the
-class of these functions is closed under every operation needed here: field
-arithmetic, the order at t = 0, and the ramification substitution t -> t^n.
-Nothing is ever truncated, so all downstream order computations are exact.
+class of these functions is closed under every operation needed here: the
+product, the quotient by a function of no higher order, subtracting a
+constant, the order at t = 0, and the ramification substitution t -> t^n.
+Those are the only arithmetic operators ``TRational`` defines.  Nothing is
+ever truncated, so all downstream order computations are exact.
 
 ``TPoly`` holds integer numerators over one positive denominator, in lowest
 terms; one integer pseudo-division serves ``divrem`` and ``t_gcd``.
 ``Polynomial`` keeps the same form keyed by exponent tuples, through the same
-private helpers (``_lcm_form``, ``_lowest``, ``_sum``, ``_convolve``, ``_format``).
+private helpers (``_lcm_form``, ``_lowest``, ``_convolve``, ``_format``).
 ``TRational`` is a quotient of two ``TPoly`` kept in canonical form:
 gcd(num, den) = 1, den monic, den(0) != 0.  Canonical form makes structural
 equality coincide with mathematical equality.  When one side of a gcd is a
@@ -23,9 +25,8 @@ bool is refused rather than read as a binary expansion or as 0/1.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Terms = dict[int, int]
@@ -62,7 +63,7 @@ def _lowest(nums: Nums, den: int) -> tuple[Nums, int]:
     return nums, den
 
 
-def _sum(a: Nums, a_den: int, b: Nums, b_den: int) -> tuple[Nums, int]:
+def _sum(a: Terms, a_den: int, b: Terms, b_den: int) -> tuple[Terms, int]:
     """a / a_den + b / b_den over the lcm of the denominators, not reduced."""
     den = math.lcm(a_den, b_den)
     mine, theirs = den // a_den, den // b_den
@@ -72,13 +73,12 @@ def _sum(a: Nums, a_den: int, b: Nums, b_den: int) -> tuple[Nums, int]:
     return nums, den
 
 
-def _convolve(a: Nums, b: Nums, combine: Callable = operator.add) -> Nums:
-    """Integer product of two term maps; ``combine`` adds two keys."""
-    nums: Nums = {}
+def _convolve(a: Terms, b: Terms) -> Terms:
+    """Integer product of two maps from powers of t to numerators."""
+    nums: Terms = {}
     for p, c in a.items():
         for q, d in b.items():
-            key = combine(p, q)
-            nums[key] = nums.get(key, 0) + c * d
+            nums[p + q] = nums.get(p + q, 0) + c * d
     return nums
 
 
@@ -166,20 +166,12 @@ class TPoly:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._nums.items())))
 
-    def __neg__(self) -> TPoly:
-        return TPoly._make({p: -c for p, c in self._nums.items()}, self._den)
-
     def __add__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         return TPoly._make(*_sum(self._nums, self._den, other._nums, other._den))
 
-    def __sub__(self, other: TPoly) -> TPoly:
-        return self + (-other)
-
-    def __mul__(self, other: TPoly | Scalar) -> TPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         if other._den == 1 and other._nums == _UNIT:
@@ -187,8 +179,6 @@ class TPoly:
         if self._den == 1 and self._nums == _UNIT:
             return other
         return TPoly._make(_convolve(self._nums, other._nums), self._den * other._den)
-
-    __rmul__ = __mul__
 
     def scale(self, factor: Scalar) -> TPoly:
         factor = exact(factor)
@@ -381,37 +371,16 @@ class TRational:
         """
         return TRational._canonical(self.num.stretch(n), self.den.stretch(n))
 
-    def _coerce(self, other: TRational | TPoly | Scalar) -> TRational | None:
-        if isinstance(other, TRational):
-            return other
-        if isinstance(other, (TPoly, int, Fraction)):
-            return TRational(other)
-        return None
+    def __sub__(self, scalar: Scalar) -> TRational:
+        """self - c as (num - c*den)/den, taking no gcd.
 
-    def __add__(self, other: TRational | TPoly | Scalar) -> TRational:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return TRational(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        The pair is canonical as it stands: den is unchanged, and
+        gcd(num - c*den, den) = gcd(num, den) = 1.
+        """
+        num = self.num + self.den.scale(-exact(scalar))
+        return TRational._canonical(num, self.den) if num else TRational.zero()
 
-    __radd__ = __add__
-
-    def __neg__(self) -> TRational:
-        return TRational._canonical(-self.num, self.den)
-
-    def __sub__(self, other: TRational | TPoly | Scalar) -> TRational:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: TRational | TPoly | Scalar) -> TRational:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other: TRational | TPoly | Scalar) -> TRational:
+    def __mul__(self, other: TRational) -> TRational:
         """Product by cross-cancellation (Henrici; Knuth, TAOCP 2, 4.5.1).
 
         For canonical a/b and c/d the only factors that can cancel in ac/bd
@@ -422,20 +391,17 @@ class TRational:
         full products is taken, and a square, where gcd(a, b) = 1 already,
         takes no gcd at all.
         """
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, TRational):
             return NotImplemented
-        if self.is_zero or rhs.is_zero:
+        if self.is_zero or other.is_zero:
             return TRational.zero()
-        if rhs == self:
+        if other == self:
             return TRational._canonical(self.num * self.num, self.den * self.den)
-        a, d = _cancel(self.num, rhs.den)
-        c, b = _cancel(rhs.num, self.den)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
         return TRational._canonical(a * c, b * d)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: TRational | TPoly | Scalar) -> TRational:
+    def __truediv__(self, other: TRational) -> TRational:
         """Quotient by cross-cancellation, the rule of ``__mul__``.
 
         For canonical a/b and p/q, (a/b) / (p/q) = aq / bp, and the only
@@ -445,15 +411,14 @@ class TRational:
         factor.  As b(0) != 0, it is a power series iff (p/g1)(0) != 0, i.e.
         iff the divisor's order at t = 0 is at most the dividend's.
         """
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, TRational):
             return NotImplemented
-        if rhs.is_zero:
+        if other.is_zero:
             raise ZeroDivisionError("zero denominator")
         if self.is_zero:
             return self
-        a, p = _cancel(self.num, rhs.num)
-        q, b = _cancel(rhs.den, self.den)
+        a, p = _cancel(self.num, other.num)
+        q, b = _cancel(other.den, self.den)
         return TRational._canonical(*_monic(a * q, b * p))
 
     def __pow__(self, exponent: int) -> TRational:

@@ -239,6 +239,11 @@ def test_verify_suites_take_no_tuning_flags(flag, capsys):
     assert time.perf_counter() - start < 1
 
 
+# Placeholder for an arc written by the test: (t^60, t^60, t^50) on x2y3z6,
+# r = 60, ten times the bundled arc's, so its rows take ten times the steps.
+R60_ARC = "arc_t60_t60_t50"
+
+
 @pytest.mark.parametrize(
     "argv, refusal",
     [
@@ -250,11 +255,17 @@ def test_verify_suites_take_no_tuning_flags(flag, capsys):
           "--samples", "100000000"], "100000000 samples is over 100000"),
         (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
           "--arc", str(DATA / "arc_t6_t6_t5.json"), "--n-max", "100000"],
-         "n_max 100000 is over 100"),
+         "up to n_max 100000 has a step budget of 1000010000000, over 1010000"),
+        (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
+          "--arc", R60_ARC, "--n-max", "100"],
+         "up to n_max 100 has a step budget of 10100000, over 1010000"),
     ],
-    ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max"],
+    ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max", "qpers-r-60"],
 )
-def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, capsys):
+def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, tmp_path, capsys):
+    r60 = tmp_path / "r60.json"
+    save_document(r60, arc_to_doc(monomial_arc((60, 60, 50))))
+    argv = [str(r60) if a == R60_ARC else a for a in argv]
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
@@ -316,14 +327,25 @@ def test_verify_all_output_is_pinned(capsys):
     assert captured.out == (GOLDEN / "verify-all.json").read_text()
 
 
-def test_reproduce_tables_output_is_pinned():
+def reproduce_tables(*args: str) -> subprocess.CompletedProcess:
     root = DATA.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_tables.py")],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), *args],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
+
+
+def test_reproduce_tables_output_is_pinned():
+    result = reproduce_tables()
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == (GOLDEN / "reproduce-tables.txt").read_text()
+
+
+def test_reproduce_tables_refuses_like_the_command_line():
+    result = reproduce_tables("--samples", "100001")
+    assert result.returncode == 4
+    assert "Traceback" not in result.stderr
+    assert result.stdout.endswith("inconclusive: 100001 samples is over 100000\n")

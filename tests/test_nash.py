@@ -167,11 +167,13 @@ def perturbed_states(draw):
     surface, arc = draw(st.sampled_from(ARCS_ON_SURFACES))
     n = draw(st.integers(2, 10))
     deltas = [
-        TRational(TPoly(dict(enumerate(draw(st.lists(st.integers(-3, 3), max_size=2))))))
+        TPoly({n + k: c for k, c in enumerate(draw(st.lists(st.integers(-3, 3), max_size=2)))})
         for _ in arc.components
     ]
+    # gamma + t^N delta = (num + t^N delta den) / den for gamma = num / den.
     lifted = tuple(
-        comp + delta * TRational.t(n) for comp, delta in zip(arc.components, deltas)
+        TRational(comp.num + delta * comp.den, comp.den)
+        for comp, delta in zip(arc.components, deltas)
     ) + (TRational.t(),)
     transform = surface.f.extend_variables((graph_variable(surface),))
     return DirectedBlowupState(transform, lifted, 0, surface.multiplicity), n
@@ -219,8 +221,11 @@ def test_deferred_check_catches_a_corrupted_state(
         new_state, record = blowup_step(state, tie_break)
         taken.append(new_state.step)
         if new_state.step == corrupted:
-            s = Polynomial.coordinate(new_state.transform.variables, "s")
-            transform = new_state.transform + s ** (new_state.multiplicity + 40)
+            variables = new_state.transform.variables
+            terms = new_state.transform.terms
+            power = tuple(new_state.multiplicity + 40 if v == "s" else 0 for v in variables)
+            terms[power] = terms.get(power, 0) + 1
+            transform = Polynomial(variables, terms)
             new_state = dataclasses.replace(new_state, transform=transform)
         return new_state, record
 
@@ -247,31 +252,41 @@ def _taylor(comp, k):
     return coeffs
 
 
+def _product(a, b):
+    """Product of two polynomials stored as dicts from exponents to Fractions."""
+    product: dict = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            key = tuple(i + j for i, j in zip(e, f))
+            product[key] = product.get(key, 0) + c * d
+    return product
+
+
 def jet_multiplicities(surface, arc, length):
     """m_k = ord_(x,s) f(j_k gamma(s) + s^k x) - (m_0 + ... + m_{k-1}).
 
     An oracle for the multiplicity sequence under ``s_first`` with no
     blow-ups: the step-k centers are the Taylor coefficients of the arc.
+    The jets live in Q[x_1, ..., x_n, s], exponents ending with that of s.
     """
-    s_name = graph_variable(surface)
-    variables = surface.variables + (s_name,)
-    x = [Polynomial.coordinate(variables, v) for v in surface.variables]
-    s = Polynomial.coordinate(variables, s_name)
+    n = len(surface.variables)
     sequence: list[int] = []
     for k in range(length):
         images = []
-        for comp, xi in zip(arc.components, x):
-            jet = Polynomial(variables, {})
-            for j, c in enumerate(_taylor(comp, k)):
-                jet = jet + s**j * c
-            images.append(jet + s**k * xi)
-        g = Polynomial(variables, {})
+        for i, comp in enumerate(arc.components):
+            jet = {(0,) * n + (j,): c for j, c in enumerate(_taylor(comp, k)) if c}
+            jet[tuple(int(v == i) for v in range(n)) + (k,)] = Fraction(1)
+            images.append(jet)
+        g: dict = {}
         for exponent, coeff in surface.f.items():
-            term = Polynomial.constant(variables, coeff)
+            term = {(0,) * (n + 1): coeff}
             for image, e in zip(images, exponent):
-                term = term * image**e
-            g = g + term
-        sequence.append(g.order_at_origin() - sum(sequence))
+                for _ in range(e):
+                    term = _product(term, image)
+            for key, c in term.items():
+                g[key] = g.get(key, 0) + c
+        order = min((sum(e) for e, c in g.items() if c), default=math.inf)
+        sequence.append(order - sum(sequence))
     return tuple(sequence)
 
 

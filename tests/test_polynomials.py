@@ -51,13 +51,6 @@ def test_exponent_arity_checked():
         Polynomial(VARS, {(1, 0): 1})
 
 
-def test_mismatched_variables_rejected():
-    p = Polynomial(("x", "y"), {(1, 0): 1})
-    q = Polynomial(("y", "x"), {(1, 0): 1})
-    with pytest.raises(ValueError):
-        p + q
-
-
 def test_order_at_origin():
     p = Polynomial(VARS, {(2, 3, 0): 1, (0, 0, 6): -1})
     assert p.order_at_origin() == 5
@@ -67,13 +60,10 @@ def test_order_at_origin():
 def test_coordinate_and_monomial():
     x, y = (Polynomial.coordinate(VARS, name) for name in "xy")
     assert x.items() == [((1, 0, 0), Fraction(1))]
-    m = Fraction(3) * x * y**2
+    assert y.items() == [((0, 1, 0), Fraction(1))]
+    m = Polynomial(VARS, {(1, 2, 0): Fraction(6, 2)})
     assert m.items() == [((1, 2, 0), Fraction(3))]
-
-
-@given(polys, polys)
-def test_product_matches_sympy(p, q):
-    assert to_sympy(p * q) == sympy.expand(to_sympy(p) * to_sympy(q))
+    assert str(m) == "3*x*y^2"
 
 
 @given(polys, st.sampled_from(VARS))
@@ -187,7 +177,7 @@ zero_value = TRational(TPoly.zero())
 
 @settings(deadline=None)
 @given(
-    st.one_of(dense_polys, coeffs.map(lambda c: Polynomial.constant(VARS4, c))),
+    st.one_of(dense_polys, coeffs.map(lambda c: Polynomial(VARS4, {(0, 0, 0, 0): c}))),
     st.tuples(*[st.one_of(st.just(zero_value), quotients)] * 4),
 )
 def test_nested_sum_matches_the_per_term_formula(p, values):
@@ -230,11 +220,12 @@ def assert_lowest_terms(p):
     assert Polynomial(p.variables, p.terms) == p
 
 
-@given(polys, polys, coeffs, st.tuples(coeffs, coeffs, coeffs), st.sampled_from(VARS))
-def test_stored_form_is_unique(p, q, factor, point, var):
+@given(polys, st.tuples(coeffs, coeffs, coeffs), st.sampled_from(VARS))
+def test_stored_form_is_unique(p, point, var):
     merged = p._map_exponents(lambda e: (e[0] + e[1], 0, e[2]))
-    for result in [p + q, p - q, p - p, p * q, p * factor, p * 0, p.translate(point),
-                   p.partial_derivative(var), merged, p.extend_variables(("s",))]:
+    constant = p._map_exponents(lambda e: (0, 0, 0))
+    for result in [p, p.translate(point), p.partial_derivative(var), merged, constant,
+                   p.extend_variables(("s",))]:
         assert_lowest_terms(result)
 
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcinv.arcs import Arc, Hypersurface, monomial_arc
-from arcinv.errors import PreconditionError
+from arcinv.errors import BudgetExhausted, PreconditionError
 from arcinv.nash import default_budget, nash_sequence
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import (
+    MAX_TABLE_STEPS,
     FloorCheck,
     LimitRow,
     check_floor_identity,
@@ -133,3 +134,17 @@ def test_r_scales_linearly_under_ramification(case, n):
 def test_limit_identity_needs_positive_n():
     with pytest.raises(PreconditionError):
         check_limit_identity(CUSP, monomial_arc((3, 2)), n_max=0)
+
+
+def test_limit_table_over_the_step_cap_is_refused_before_any_row(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr("arcinv.qpers.nash_sequence", no_rows)
+    arc = monomial_arc((6, 6, 5))
+    # The bundled arc fills the cap exactly at n_max = 100: 200 * 5050 steps.
+    assert default_budget(QUINTIC, arc) * 5050 == MAX_TABLE_STEPS
+    with pytest.raises(BudgetExhausted, match="has a step budget of 1030200, over"):
+        check_limit_identity(QUINTIC, arc, n_max=101)
+    with pytest.raises(BudgetExhausted, match="has a step budget of 1010001, over"):
+        check_limit_identity(QUINTIC, arc, n_max=1, budget=MAX_TABLE_STEPS + 1)
