@@ -15,9 +15,10 @@ import sys
 
 from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION
 from arcinv.contact import (
-    delta,
+    MAX_SAMPLES,
+    DeltaCheck,
+    delta_limit_check,
     fat_components,
-    hironaka_order,
     outside_bounds,
     rbar_of_multiindex,
     sample_multiindices,
@@ -53,15 +54,14 @@ def grid_table(span: int) -> None:
         print(f"{a:>3} " + "".join(f"{c:>8}" for c in cells))
 
 
-def delta_table(m_max: int) -> None:
+def delta_table(table: DeltaCheck) -> None:
     data = x2y3z6_resolution()
-    order = hironaka_order(data)
-    print(f"\ndelta_m for m = 1..{m_max} (order at the center: {format_rational(order)})")
-    for m in range(1, m_max + 1):
-        value = delta(data, m)
-        components = fat_components(data, m, m + max(data.c))
+    m_max = len(table.rows)
+    print(f"\ndelta_m for m = 1..{m_max} (order at the center: {format_rational(table.order)})")
+    for row in table.rows:
+        components = fat_components(data, row.m, row.m)
         rendered = ", ".join(format_multiindex(l) for l in components)
-        print(f"  m = {m:>2}: delta = {format_rational(value):>6}   components {rendered}")
+        print(f"  m = {row.m:>2}: delta = {format_rational(row.value):>6}   components {rendered}")
 
 
 def odd_levels(levels) -> None:
@@ -112,8 +112,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     try:
+        if (args.span + 1) ** 2 > MAX_SAMPLES:
+            raise BudgetExhausted(
+                MAX_SAMPLES, f"the grid of span {args.span} has over {MAX_SAMPLES} cells"
+            )
+        deltas = delta_limit_check(x2y3z6_resolution(), args.m_max)
         grid_table(args.span)
-        delta_table(args.m_max)
+        delta_table(deltas)
         odd_levels((11, 13, 17, 19, 23))
         bounds_report(args.samples, args.seed)
         arc_report()

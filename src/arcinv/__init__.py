@@ -45,10 +45,8 @@ from .nash import (
 )
 from .polynomials import Polynomial
 from .qpers import (
-    FloorCheck,
     LimitCheck,
     QPersistanceResult,
-    check_floor_identity,
     check_limit_identity,
     q_persistance,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "DirectedBlowupState",
     "DocumentError",
     "Extrema",
-    "FloorCheck",
     "Hypersurface",
     "LimitCheck",
     "MonomialParametrization",
@@ -79,7 +76,6 @@ __all__ = [
     "TPoly",
     "TRational",
     "blowup_step",
-    "check_floor_identity",
     "check_limit_identity",
     "default_budget",
     "delta",

@@ -201,7 +201,7 @@ def _random_nonzero_fraction(rng: random.Random) -> Fraction:
 
 def sample_binomial_arc(
     surface: Hypersurface,
-    exponents: Sequence[Sequence[int]] | MonomialParametrization,
+    exponents: Sequence[Sequence[int]],
     orders: Sequence[int],
     coeff_seed: int,
 ) -> Arc:
@@ -213,11 +213,7 @@ def sample_binomial_arc(
     checked to satisfy the hypersurface equation identically, the resulting
     arc lies on the hypersurface for every seed.
     """
-    param = (
-        exponents
-        if isinstance(exponents, MonomialParametrization)
-        else MonomialParametrization(exponents)
-    )
+    param = MonomialParametrization(exponents)
     param.check_identity(surface)
     if len(orders) != param.parameter_count:
         raise PreconditionError("one t-order per parameter is required")

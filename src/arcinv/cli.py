@@ -87,6 +87,8 @@ def _load_resolution(job: JobSpec) -> ResolutionData:
 
 
 def _cmd_qpers(job: JobSpec) -> tuple[list[str], dict, int]:
+    if job.budget is not None and job.n_max is None:
+        raise DocumentError("qpers --budget bounds the rows of --n-max; give both")
     surface, arc = _load_pair(job)
     result = q_persistance(surface, arc)
     lines = [
@@ -173,6 +175,8 @@ def _cmd_contact(job: JobSpec) -> tuple[list[str], dict, int]:
     data = _load_resolution(job)
     if job.m is None and job.m_max is None:
         raise DocumentError("contact needs --m (one level) or --m-max (a table)")
+    if job.bound is not None and job.m is None:
+        raise DocumentError("contact --bound sets the side of the --m search box; give both")
     lines: list[str] = []
     payload: dict = {"command": "contact"}
     if job.m is not None:
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "machine"), default="text")
+        p.add_argument("--format", choices=("text", "machine"), default="text", dest="fmt")
 
     p = sub.add_parser("qpers", help="rational persistance of an arc")
     p.add_argument("--surface", required=True, type=Path)
@@ -357,22 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        surface=getattr(args, "surface", None),
-        arc=getattr(args, "arc", None),
-        resolution=getattr(args, "resolution", None),
-        m=getattr(args, "m", None),
-        m_max=getattr(args, "m_max", None),
-        n_max=getattr(args, "n_max", None),
-        budget=getattr(args, "budget", None),
-        bound=getattr(args, "bound", None),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        trace=getattr(args, "trace", False),
-        fmt=getattr(args, "format", "text"),
-        suite=getattr(args, "suite", "all"),
-    )
+    return JobSpec(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

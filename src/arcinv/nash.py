@@ -185,14 +185,14 @@ def nash_sequence(
     the sequence stabilizes at 1, which is useful for diagnostics.  Membership
     is checked after translating steps and at the end (module docstring).
     """
+    if max_steps is not None and max_steps < 1:
+        raise PreconditionError("the step budget must be positive")
     state = init_directed(surface, arc)
     # f pulls back to zero, so the derivatives alone decide an infinite order.
     derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
     if derivatives.ord_along_arc(arc) == math.inf:
         return NashReport((state.multiplicity,), None, True, 0, ())
     budget = max_steps if max_steps is not None else default_budget(surface, arc)
-    if budget < 1:
-        raise PreconditionError("the step budget must be positive")
     m0 = state.multiplicity
     sequence = [m0]
     trace: list[BlowupRecord] = []

@@ -2,14 +2,14 @@
 
 The persistance rho of an arc counts blow-ups, so it is an integer; its
 rational refinement r is the order of the differential presentation of the
-hypersurface pulled back along the arc.  Two identities tie them together:
+hypersurface pulled back along the arc.  One identity ties them together:
 
-* rho = floor(r), and
 * rho(arc o t^n) = floor(n * r) for every ramification index n, so that
-  rho(arc o t^n) / n converges to r with error at most 1/n.
+  rho(arc o t^n) / n converges to r with error at most 1/n; its row n = 1
+  is the floor identity rho = floor(r).
 
-Both identities are checkable here because both sides are computed by
-independent routes: rho by running the blow-up engine, r by composing the
+It is checkable here because both sides are computed by independent
+routes: rho by running the blow-up engine, r by composing the
 differential generators with the arc.  Dividing r by the contact order nu
 of the arc gives the normalized invariant r / nu, which only depends on the
 divisorial valuation the arc defines and is invariant under ramification.
@@ -59,34 +59,6 @@ def q_persistance(surface: Hypersurface, arc: Arc) -> QPersistanceResult:
 
 
 @dataclass(frozen=True)
-class FloorCheck:
-    """Comparison of the blow-up count with the floor of the rational invariant.
-
-    ``passed`` is None when the blow-up engine ran out of budget, which is
-    inconclusive rather than a refutation.
-    """
-
-    passed: bool | None
-    rho: int | None
-    result: QPersistanceResult
-    budget: int
-
-
-def check_floor_identity(
-    surface: Hypersurface, arc: Arc, budget: int | None = None
-) -> FloorCheck:
-    """Check rho = floor(r) by running both computations."""
-    result = q_persistance(surface, arc)
-    if not result.is_finite:
-        raise PreconditionError(
-            "the arc stays in the maximal multiplicity locus; rho is not finite"
-        )
-    report = nash_sequence(surface, arc, max_steps=budget)
-    passed = None if report.rho is None else report.rho == result.floor_r
-    return FloorCheck(passed, report.rho, result, report.budget)
-
-
-@dataclass(frozen=True)
 class LimitRow:
     n: int
     rho: int | None
@@ -118,6 +90,8 @@ def check_limit_identity(
     """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
+    if budget is not None and budget < 1:
+        raise PreconditionError("the step budget must be positive")
     if budget is None:
         steps = default_budget(surface, arc) * n_max * (n_max + 1) // 2
     else:

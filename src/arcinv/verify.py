@@ -31,9 +31,9 @@ from .contact import (
     sample_multiindices,
     values_bounds,
 )
-from .nash import nash_sequence
+from .nash import default_budget, nash_sequence
 from .polynomials import Polynomial
-from .qpers import check_floor_identity, check_limit_identity, q_persistance
+from .qpers import check_limit_identity, q_persistance
 from .rees import ReesAlgebra, diff_saturate
 from .render import format_multiindex, format_rational
 
@@ -143,7 +143,7 @@ def sampled_arc(alpha: int, beta: int, seed: int) -> Arc:
     """Seeded random arc on the reference surface with contact type (a, b)."""
     orders = (alpha + beta, alpha + 2 * beta)
     return sample_binomial_arc(
-        x2y3z6_surface(), x2y3z6_parametrization(), orders, seed
+        x2y3z6_surface(), x2y3z6_parametrization().exponents, orders, seed
     )
 
 
@@ -193,7 +193,7 @@ def check_odd_levels() -> CheckResult:
     details = []
     for n in (11, 13, 17, 19, 23):
         m = (n - 1) // 2
-        components = fat_components(data, n, max(40, n))
+        components = fat_components(data, n, n)
         values = {l: rbar_of_multiindex(data, l) for l in components}
         details.append(
             f"n={n}: components "
@@ -361,26 +361,26 @@ def check_floor_corpus() -> CheckResult:
     failures = []
     details = []
     for name, surface, arc in corpus():
-        outcome = check_floor_identity(surface, arc)
-        details.append(
-            f"{name}: rho = {outcome.rho}, floor(r) = {outcome.result.floor_r}"
-        )
-        if outcome.passed is None:
-            failures.append(f"{name}: inconclusive within budget {outcome.budget}")
-        elif not outcome.passed:
+        row = check_limit_identity(surface, arc, 1).rows[0]
+        details.append(f"{name}: rho = {row.rho}, floor(r) = {row.expected}")
+        if row.ok is None:
+            failures.append(
+                f"{name}: inconclusive within budget {default_budget(surface, arc)}"
+            )
+        elif not row.ok:
             failures.append(f"{name}: rho != floor(r)")
     surface = x2y3z6_surface()
     samples = [(alpha, beta, seed) for alpha, beta in SAMPLE_TYPES[:4] for seed in range(5)]
     for alpha, beta, seed in samples:
-        outcome = check_floor_identity(surface, sampled_arc(alpha, beta, seed))
-        if outcome.passed is None:
+        row = check_limit_identity(surface, sampled_arc(alpha, beta, seed), 1).rows[0]
+        if row.ok is None:
             failures.append(
                 f"sample ({alpha},{beta},{seed}): inconclusive within budget"
             )
-        elif not outcome.passed:
+        elif not row.ok:
             failures.append(
-                f"sample ({alpha},{beta},{seed}): rho = {outcome.rho} != "
-                f"floor(r) = {outcome.result.floor_r}"
+                f"sample ({alpha},{beta},{seed}): rho = {row.rho} != "
+                f"floor(r) = {row.expected}"
             )
     details.append(f"{len(samples)} seeded sampled arcs checked")
     return CheckResult(

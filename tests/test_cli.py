@@ -123,6 +123,33 @@ def test_contact_needs_a_level(docs, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["qpers", "--surface", "surface", "--arc", "arc", "--budget", "1"],
+         "qpers --budget bounds the rows of --n-max"),
+        (["contact", "--resolution", "resolution", "--m-max", "3", "--bound", "1"],
+         "contact --bound sets the side of the --m search box"),
+    ],
+    ids=["qpers-budget-without-n-max", "contact-bound-without-m"],
+)
+def test_flags_that_would_do_nothing_exit_2(argv, refusal, docs, capsys):
+    code = main([docs.get(a, a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("input error:") and refusal in out
+
+
+def test_nash_budget_below_one_exits_3_on_an_infinite_arc(tmp_path, capsys):
+    surface, arc = tmp_path / "double_plane.json", tmp_path / "trapped.json"
+    save_document(surface, hypersurface_to_doc(Hypersurface(Polynomial(("x", "y"), {(2, 0): 1}))))
+    save_document(arc, arc_to_doc(monomial_arc((None, 1))))
+    code = main(["nash", "--surface", str(surface), "--arc", str(arc), "--budget", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "the step budget must be positive" in out
+
+
 def test_bounds(docs, capsys):
     code = main(["bounds", "--resolution", docs["resolution"], "--samples", "50"])
     out = capsys.readouterr().out
@@ -349,3 +376,20 @@ def test_reproduce_tables_refuses_like_the_command_line():
     assert result.returncode == 4
     assert "Traceback" not in result.stderr
     assert result.stdout.endswith("inconclusive: 100001 samples is over 100000\n")
+
+
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (["--m-max", "5000"], "the delta table for m = 1..5000 has over 10000000 points"),
+        (["--span", "3000"], "the grid of span 3000 has over 100000 cells"),
+    ],
+    ids=["m-max", "span"],
+)
+def test_reproduce_tables_refuses_an_oversized_table_before_printing(args, refusal):
+    start = time.perf_counter()
+    result = reproduce_tables(*args)
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 4
+    assert "Traceback" not in result.stderr
+    assert result.stdout == f"inconclusive: {refusal}\n"

@@ -78,6 +78,20 @@ def test_budget_exhaustion():
         persistance(QUINTIC, monomial_arc((6, 6, 5)), budget=2)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_a_budget_below_one_is_refused_before_any_work(max_steps, monkeypatch):
+    trapped = Arc([TRational.zero(), TRational.t()])
+    with pytest.raises(PreconditionError, match="the step budget must be positive"):
+        nash_sequence(DOUBLE_PLANE, trapped, max_steps=max_steps)
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(arcinv.nash, "init_directed", no_work)
+    with pytest.raises(PreconditionError, match="the step budget must be positive"):
+        nash_sequence(QUINTIC, monomial_arc((6, 6, 5)), max_steps=max_steps)
+
+
 def test_default_budget_is_generous():
     arc = monomial_arc((6, 6, 5))
     assert default_budget(QUINTIC, arc) >= 8 * 5

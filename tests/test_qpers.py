@@ -11,14 +11,7 @@ from arcinv.arcs import Arc, Hypersurface, monomial_arc
 from arcinv.errors import BudgetExhausted, PreconditionError
 from arcinv.nash import default_budget, nash_sequence
 from arcinv.polynomials import Polynomial
-from arcinv.qpers import (
-    MAX_TABLE_STEPS,
-    FloorCheck,
-    LimitRow,
-    check_floor_identity,
-    check_limit_identity,
-    q_persistance,
-)
+from arcinv.qpers import MAX_TABLE_STEPS, LimitRow, check_limit_identity, q_persistance
 from arcinv.tseries import TRational
 
 XYZ = ("x", "y", "z")
@@ -87,18 +80,19 @@ def test_variable_count_checked():
 
 @pytest.mark.parametrize("surface,powers", [(s, p) for s, p, *_ in FROZEN])
 def test_floor_identity_on_corpus(surface, powers):
-    check = check_floor_identity(surface, monomial_arc(powers))
-    assert check.passed is True
-    assert check.rho == math.floor(check.result.r)
+    """Row n = 1 of the limit table is the floor identity rho = floor(r)."""
+    arc = monomial_arc(powers)
+    row = check_limit_identity(surface, arc, 1).rows[0]
+    assert row.ok is True
+    assert row.rho == math.floor(q_persistance(surface, arc).r)
 
 
 def test_floor_identity_reports_the_budget_it_ran_with():
     arc = monomial_arc((6, 6, 5))
-    short = check_floor_identity(QUINTIC, arc, budget=2)
-    assert short == FloorCheck(None, None, q_persistance(QUINTIC, arc), 2)
-    check = check_floor_identity(QUINTIC, arc)
-    assert check.passed is True
-    assert check.budget == default_budget(QUINTIC, arc) == 200
+    short = check_limit_identity(QUINTIC, arc, 1, budget=2).rows[0]
+    assert (short.rho, short.ok) == (None, None)
+    assert check_limit_identity(QUINTIC, arc, 1).rows[0].ok is True
+    assert default_budget(QUINTIC, arc) == 200
 
 
 def test_limit_identity_out_of_budget_is_inconclusive():
@@ -134,6 +128,17 @@ def test_r_scales_linearly_under_ramification(case, n):
 def test_limit_identity_needs_positive_n():
     with pytest.raises(PreconditionError):
         check_limit_identity(CUSP, monomial_arc((3, 2)), n_max=0)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_limit_identity_refuses_a_budget_below_one_before_any_work(budget, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("arcinv.qpers.q_persistance", no_work)
+    monkeypatch.setattr("arcinv.qpers.nash_sequence", no_work)
+    with pytest.raises(PreconditionError, match="the step budget must be positive"):
+        check_limit_identity(QUINTIC, monomial_arc((6, 6, 5)), n_max=1, budget=budget)
 
 
 def test_limit_table_over_the_step_cap_is_refused_before_any_row(monkeypatch):
