@@ -7,13 +7,13 @@ envelope, fat components at odd contact levels, and the exact bounds with
 seeded samples.  Everything is exact; the script has no randomness beyond
 the stated seeds.  A refused input ends as in the ``arcinv`` command line:
 exit code 4 for an exhausted budget or search box, 3 for a violated
-precondition.
+precondition, and 141 when the reader of standard output closes it.
 """
 
 import argparse
 import sys
 
-from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION
+from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION, stdout_closed
 from arcinv.contact import (
     MAX_SAMPLES,
     DeltaCheck,
@@ -112,6 +112,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     try:
+        if args.span < 1:
+            raise PreconditionError(f"the grid span must be at least 1, not {args.span}")
         if (args.span + 1) ** 2 > MAX_SAMPLES:
             raise BudgetExhausted(
                 MAX_SAMPLES, f"the grid of span {args.span} has over {MAX_SAMPLES} cells"
@@ -132,4 +134,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = stdout_closed()
+    sys.exit(code)

@@ -14,13 +14,15 @@ a JSON report which is byte-identical across runs for identical inputs and
 seeds.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
-precondition, 4 inconclusive within the step budget, 5 failed verification.
+precondition, 4 inconclusive within the step budget, 5 failed verification,
+141 the reader of standard output closed it (as a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +43,13 @@ from .errors import BudgetExhausted, DocumentError, PreconditionError
 from .nash import nash_sequence
 from .qpers import check_limit_identity, q_persistance
 from .render import format_multiindex, format_rational
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_VERIFY_FAILED = 5
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -259,6 +261,8 @@ def _cmd_bounds(job: JobSpec) -> tuple[list[str], dict, int]:
 
 
 def _cmd_verify(job: JobSpec) -> tuple[list[str], dict, int]:
+    from .verify import run_suite  # only this command loads the bundled suites
+
     try:
         results = run_suite(job.suite)
     except KeyError as exc:
@@ -364,10 +368,19 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     return JobSpec(**vars(args))
 
 
+def stdout_closed() -> int:
+    """Point stdout at devnull, so no later flush fails; the code for a closed pipe."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_BROKEN_PIPE
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     report, code = run(jobspec_from_args(args))
-    print(report)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        return stdout_closed()
     return code
 
 

@@ -24,11 +24,21 @@ One blow-up step, in coordinates:
 * recenter: translate coordinates so the lifted arc is centered at the
   origin again, and read the next multiplicity off the recentered equation.
 
+Under ``s_first`` the chart is always s (order 1, the others >= 1), which
+stays t, so K center-0 steps at multiplicity m map e_s to e_s + K(|e_x| - m)
+and divide the other components by t^K.  ``blowup_step`` takes them as one
+run, K the least of the steps left, min_j ord gamma_j - 1 (then the center
+moves) and floor((a + b - m)/(m - a)) + 1 over terms with a = |e_x| < m,
+b = e_s (then the multiplicity drops).  Each earlier step reads m, as single
+steps would: no term has degree < m, and a term of degree m with a < m would
+make K = 1, so one with |e_x| = m, e_s = 0 keeps degree m.
+
 ``nash_sequence`` checks exactly, by a full pullback, that the lifted arc
 stays on the transform after each step with a nonzero center and at the end.
-That proves the check at every step: a center-0 step in chart u maps x^e to
-x^e' with gamma'^e' = gamma^e / gamma_u^m, so F'(gamma') = F(gamma) / gamma_u^m
-is zero iff F(gamma) was, and only translation changes coefficients.
+That proves the check at every step: a run of K center-0 steps in chart u
+maps x^e to x^e' with gamma'^e' = gamma^e / gamma_u^(K m), so
+F(gamma) = gamma_u^(K m) F'(gamma') and F'(gamma') is zero iff F(gamma) was;
+only translation changes coefficients.
 """
 
 from __future__ import annotations
@@ -49,12 +59,13 @@ TieBreak = Literal["s_first", "lowest_index"]
 
 @dataclass(frozen=True)
 class BlowupRecord:
-    """What one blow-up step did: chosen chart, new center, new multiplicity."""
+    """Chart, center and multiplicity after a step, or after a run of ``length`` steps."""
 
     step: int
     chart: str
     center: tuple[Fraction, ...]
     multiplicity: int
+    length: int = 1
 
 
 @dataclass(frozen=True)
@@ -69,13 +80,32 @@ class DirectedBlowupState:
 
 @dataclass(frozen=True)
 class NashReport:
-    """Multiplicity sequence along an arc, with the step-by-step trace."""
+    """Multiplicity sequence along an arc from m0, stored as runs of blow-ups."""
 
-    sequence: tuple[int, ...]
+    m0: int
     rho: int | None
     infinite: bool
     budget: int
-    trace: tuple[BlowupRecord, ...]
+    runs: tuple[BlowupRecord, ...]
+
+    @property
+    def sequence(self) -> tuple[int, ...]:
+        sequence = [self.m0]
+        for run in self.runs:
+            sequence += [sequence[-1]] * (run.length - 1) + [run.multiplicity]
+        return tuple(sequence)
+
+    @property
+    def trace(self) -> tuple[BlowupRecord, ...]:
+        """One record per step, built on each read; a run's earlier steps keep center 0 and m."""
+        sequence, records = self.sequence, []
+        for run in self.runs:
+            zero = (Fraction(0),) * len(run.center)
+            records += [
+                BlowupRecord(k, run.chart, run.center if k == run.step else zero, sequence[k])
+                for k in range(run.step - run.length + 1, run.step + 1)
+            ]
+        return tuple(records)
 
     @property
     def status(self) -> str:
@@ -113,38 +143,43 @@ def init_directed(surface: Hypersurface, arc: Arc) -> DirectedBlowupState:
 
 
 def blowup_step(
-    state: DirectedBlowupState, tie_break: TieBreak = "s_first"
+    state: DirectedBlowupState, tie_break: TieBreak = "s_first", steps: int = 1
 ) -> tuple[DirectedBlowupState, BlowupRecord]:
-    """One directed blow-up: transform the equation, lift and recenter the arc.
+    """Directed blow-ups: transform the equation, lift and recenter the arc.
 
-    It leaves the membership check to ``nash_sequence`` (module docstring).
+    One step, or under ``s_first`` a run of at most ``steps`` (module
+    docstring).  It leaves the membership check to ``nash_sequence``.
     """
     gamma = state.lifted
     orders = [comp.t_order() for comp in gamma]
-    finite = [o for o in orders if o != math.inf]
-    if not finite:
+    lowest = min(orders)
+    if lowest == math.inf:
         raise PreconditionError("cannot blow up along a constant arc")
-    lowest = min(finite)
-    candidates = [i for i, o in enumerate(orders) if o == lowest]
-    s_index = len(gamma) - 1
-    if tie_break == "s_first":
-        chart = s_index if s_index in candidates else candidates[0]
-    elif tie_break == "lowest_index":
-        chart = candidates[0]
-    else:
+    if tie_break not in ("s_first", "lowest_index"):
         raise ValueError(f"unknown tie break rule {tie_break!r}")
+    s_index = len(gamma) - 1
+    s_chart = tie_break == "s_first" and orders[s_index] == lowest
+    chart = s_index if s_chart else orders.index(lowest)
 
     m = state.multiplicity
     variables = state.transform.variables
-    if state.transform.order_at_origin() < m:
+    order = state.transform.order_at_origin()
+    if order < m:
         raise RuntimeError(
             "strict transform division is not exact; multiplicity bookkeeping broke"
         )
+    k = 1
+    if s_chart and order == m:
+        bounds = [steps] + [o - 1 for o in orders[:s_index] if o != math.inf]
+        for e in state.transform.terms:
+            if (a := sum(e) - e[chart]) < m:
+                bounds.append((sum(e) - m) // (m - a) + 1)
+        k = max(1, min(bounds))
     transform = state.transform._map_exponents(
-        lambda e: e[:chart] + (sum(e) - m,) + e[chart + 1 :]
+        lambda e: e[:chart] + (e[chart] + k * (sum(e) - e[chart] - m),) + e[chart + 1 :]
     )
 
-    pivot = gamma[chart]
+    pivot = gamma[chart] if k == 1 else gamma[chart] ** k
     lifted = tuple(
         comp if i == chart else comp / pivot for i, comp in enumerate(gamma)
     )
@@ -158,9 +193,9 @@ def blowup_step(
     multiplicity = transform.order_at_origin()
     if multiplicity == math.inf or multiplicity < 1:
         raise RuntimeError("recentered transform does not vanish at the new center")
-    record = BlowupRecord(state.step + 1, variables[chart], center, int(multiplicity))
-    new_state = DirectedBlowupState(transform, lifted, state.step + 1, int(multiplicity))
-    return new_state, record
+    step = state.step + k
+    record = BlowupRecord(step, variables[chart], center, int(multiplicity), k)
+    return DirectedBlowupState(transform, lifted, step, int(multiplicity)), record
 
 
 def default_budget(surface: Hypersurface, arc: Arc) -> int:
@@ -191,27 +226,27 @@ def nash_sequence(
     # f pulls back to zero, so the derivatives alone decide an infinite order.
     derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
     if derivatives.ord_along_arc(arc) == math.inf:
-        return NashReport((state.multiplicity,), None, True, 0, ())
+        return NashReport(state.multiplicity, None, True, 0, ())
     budget = max_steps if max_steps is not None else default_budget(surface, arc)
     m0 = state.multiplicity
-    sequence = [m0]
-    trace: list[BlowupRecord] = []
+    runs: list[BlowupRecord] = []
     rho: int | None = None
     while True:
-        state, record = blowup_step(state, tie_break)
-        sequence.append(state.multiplicity)
-        trace.append(record)
+        # A run ends at the step where the multiplicity changes, so the drop
+        # below m0 and the first multiplicity 1 are both at its last step.
+        state, run = blowup_step(state, tie_break, budget - state.step)
+        runs.append(run)
         if rho is None and state.multiplicity < m0:
             rho = state.step
         stop = rho is not None if stop_at_drop else state.multiplicity == 1
         done = stop or state.step >= budget
-        if (done or any(record.center)) and (
+        if (done or any(run.center)) and (
             state.transform.compose_order(state.lifted) != math.inf
         ):
             raise RuntimeError("the lifted arc left the strict transform")
         if done:
             break
-    return NashReport(tuple(sequence), rho, False, budget, tuple(trace))
+    return NashReport(m0, rho, False, budget, tuple(runs))
 
 
 def persistance(surface: Hypersurface, arc: Arc, budget: int | None = None) -> int | float:

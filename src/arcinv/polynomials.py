@@ -172,7 +172,9 @@ class Polynomial:
         The nested sum groups the terms by their leading exponents (a
         multivariate Horner scheme), so it takes one product per distinct
         exponent prefix, and none for a factor equal to 1; each R_i(k) is
-        built once, for the k that occur.  No gcd reduction happens here.
+        built once, for the k that occur, and at once when P_i and Q_i are
+        single terms: after a run of blow-ups, M_i for s is about the step count.
+        No gcd reduction happens here.
         The denominator never vanishes at t = 0 because none of the
         component denominators do.
         """
@@ -185,6 +187,12 @@ class Polynomial:
             p = {k: c * b for k, c in n.items()}
             q = {k: c * a for k, c in d.items()}
             top = max(column)
+            if len(p) == len(q) == 1:
+                (i, c), (j, g) = *p.items(), *q.items()
+                powers = {k: {i * k + j * (top - k): c**k * g ** (top - k)} for k in set(column)}
+                factors.append(powers)
+                den = _times(den, {j * top: g**top})
+                continue
             p_pow, q_pow = [_UNIT], [_UNIT]
             for _ in range(top):
                 p_pow.append(_times(p_pow[-1], p))

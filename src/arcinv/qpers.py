@@ -27,9 +27,9 @@ from .nash import default_budget, nash_sequence
 from .rees import ReesAlgebra, diff_saturate
 
 # Largest step budget of a limit-identity table, summed over its rows: the
-# bundled x2y3z6 arcs (b = 5, nu = 5) at n_max = 100, 8 * 5 * 5 * 5050 steps,
-# which take 1.9-2.6 s on a 2-vCPU Xeon VM.
-MAX_TABLE_STEPS = 1_010_000
+# bundled x2y3z6 arcs (b = 5, nu = 5) at n_max = 400, 8 * 5 * 5 * 80200 steps,
+# which take 1.1-2.3 s on a 2-vCPU Xeon VM at one advance per run of blow-ups.
+MAX_TABLE_STEPS = 16_040_000
 
 
 @dataclass(frozen=True)

@@ -282,10 +282,10 @@ R60_ARC = "arc_t60_t60_t50"
           "--samples", "100000000"], "100000000 samples is over 100000"),
         (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
           "--arc", str(DATA / "arc_t6_t6_t5.json"), "--n-max", "100000"],
-         "up to n_max 100000 has a step budget of 1000010000000, over 1010000"),
+         "up to n_max 100000 has a step budget of 1000010000000, over 16040000"),
         (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
-          "--arc", R60_ARC, "--n-max", "100"],
-         "up to n_max 100 has a step budget of 10100000, over 1010000"),
+          "--arc", R60_ARC, "--n-max", "127"],
+         "up to n_max 127 has a step budget of 16256000, over 16040000"),
     ],
     ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max", "qpers-r-60"],
 )
@@ -354,13 +354,18 @@ def test_verify_all_output_is_pinned(capsys):
     assert captured.out == (GOLDEN / "verify-all.json").read_text()
 
 
-def reproduce_tables(*args: str) -> subprocess.CompletedProcess:
-    root = DATA.parent
+def source_env() -> dict[str, str]:
+    """The environment with the checkout's ``src/`` first on PYTHONPATH."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def reproduce_tables(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), *args],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        [sys.executable, str(DATA.parent / "scripts" / "reproduce_tables.py"), *args],
+        capture_output=True, text=True, env=source_env(), timeout=120, check=False,
     )
 
 
@@ -393,3 +398,36 @@ def test_reproduce_tables_refuses_an_oversized_table_before_printing(args, refus
     assert result.returncode == 4
     assert "Traceback" not in result.stderr
     assert result.stdout == f"inconclusive: {refusal}\n"
+
+
+@pytest.mark.parametrize("span", ["-3", "0"])
+def test_reproduce_tables_refuses_a_span_below_one_before_printing(span):
+    result = reproduce_tables("--span", span)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stdout == (
+        f"precondition violated: the grid span must be at least 1, not {span}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [str(DATA.parent / "scripts" / "reproduce_tables.py")],
+        ["-m", "arcinv.cli", "qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
+         "--arc", str(DATA / "arc_t6_t6_t5.json")],
+    ],
+    ids=["reproduce-tables", "cli"],
+)
+def test_a_stdout_closed_before_the_first_write_exits_141_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=source_env(), timeout=120, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arcinv.nash
-from arcinv.arcs import Arc, Hypersurface, monomial_arc
+from arcinv.arcs import Arc, Hypersurface, monomial_arc, sample_binomial_arc
 from arcinv.errors import BudgetExhausted, PreconditionError
 from arcinv.nash import (
     DirectedBlowupState,
@@ -216,11 +216,92 @@ def test_each_step_divides_the_pullback_by_the_chart_component(case, tie_break):
         state, pullback = after, after_pullback
 
 
+@settings(max_examples=50, deadline=None)
+@given(perturbed_states(), st.integers(1, 40))
+def test_each_run_divides_the_pullback_by_t_to_the_k_m(case, steps):
+    """F(gamma) == t^(K m) * F'(gamma') for a run of K steps at multiplicity m.
+
+    Under ``s_first`` the pivot is s = t, so this is the identity above for
+    K steps at once; it is what lets a whole run go unchecked.
+    """
+    state, _ = case
+    pullback = state.transform.compose(state.lifted)
+    assume(not pullback.is_zero)
+    while state.multiplicity > 1:
+        try:
+            after, run = blowup_step(state, "s_first", steps)
+        except RuntimeError:  # the new center is off the transform
+            break
+        assert run.length <= steps and after.step == state.step + run.length
+        after_pullback = after.transform.compose(after.lifted)
+        assert after_pullback * TRational.t(run.length * state.multiplicity) == pullback
+        state, pullback = after, after_pullback
+
+
+def stepwise(surface, arc, max_steps, tie_break, stop_at_drop):
+    """The oracle: the engine's loop with one blow-up per advance.
+
+    Returns the sequence, trace, rho and budget that ``nash_sequence`` must
+    report, and checks membership after every step, not once per run.
+    """
+    state = init_directed(surface, arc)
+    budget = max_steps if max_steps is not None else default_budget(surface, arc)
+    sequence, trace, rho = [state.multiplicity], [], None
+    while True:
+        state, record = blowup_step(state, tie_break)
+        assert state.transform.compose_order(state.lifted) == math.inf
+        sequence.append(state.multiplicity)
+        trace.append(record)
+        if rho is None and state.multiplicity < sequence[0]:
+            rho = state.step
+        stop = rho is not None if stop_at_drop else state.multiplicity == 1
+        if stop or state.step >= budget:
+            return tuple(sequence), tuple(trace), rho, budget
+
+
+# x y^3 - z^3 with x = u^3, y = v, z = u v.  Its sampled arcs have r = 3/2 or
+# 9/2, so under ramification some drops fall inside a run of center-0 steps.
+XY3 = Hypersurface(Polynomial(XYZ, {(1, 3, 0): 1, (0, 0, 3): -1}))
+XY3_ROWS = [(3, 0, 1), (0, 1, 1)]
+
+
+@st.composite
+def engine_runs(draw):
+    """A surface and the arguments of ``nash_sequence`` on a sampled arc, ramified.
+
+    ``lowest_index`` takes single steps on transforms that grow fast with n
+    and past the drop (seconds per arc of type (2, 1)), so it is drawn on
+    unramified arcs of the smaller types only.
+    """
+    tie_break = draw(st.sampled_from(["s_first", "lowest_index"]))
+    n = draw(st.integers(1, 6)) if tie_break == "s_first" else 1
+    seed = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        kinds = [(1, 0), (0, 1), (1, 1)] + [(2, 1)] * (tie_break == "s_first")
+        surface, arc = QUINTIC, sampled_arc(*draw(st.sampled_from(kinds)), seed)
+    else:
+        orders = draw(st.sampled_from([(1, 1), (2, 1), (2, 3)]))
+        surface, arc = XY3, sample_binomial_arc(XY3, XY3_ROWS, orders, seed)
+    budget = draw(st.one_of(st.none(), st.integers(1, 30)))
+    return surface, arc.ramify(n), budget, tie_break, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(engine_runs())
+def test_runs_report_what_single_steps_report(case):
+    """Both tie-breaks and stop rules; small budgets cut runs short."""
+    report = nash_sequence(*case)
+    assert not report.infinite
+    expected = stepwise(*case)
+    assert (report.sequence, report.trace, report.rho, report.budget) == expected
+    assert sum(run.length for run in report.runs) == len(report.trace)
+
+
 @pytest.mark.parametrize(
     "arc, max_steps, corrupted, caught",
     [
-        (monomial_arc((6, 6, 5)), None, 1, 5),  # center-0 step, next check at 5
-        (sampled_arc(1, 1, 0), None, 5, 5),  # translating step, checked at once
+        (monomial_arc((6, 6, 5)), None, 1, 5),  # center-0 run to step 4, next check at 5
+        (sampled_arc(1, 1, 0), None, 2, 5),  # translating step 5, checked at once
         (monomial_arc((6, 6, 5)), 2, 1, 2),  # center-0 run cut by the budget
     ],
     ids=["center-0-step", "translating-step", "final-state"],
@@ -228,13 +309,17 @@ def test_each_step_divides_the_pullback_by_the_chart_component(case, tie_break):
 def test_deferred_check_catches_a_corrupted_state(
     monkeypatch, arc, max_steps, corrupted, caught
 ):
-    """Add s^K (K >= multiplicity) to one step's transform; see where it fails."""
+    """Add s^K (K >= multiplicity) to the state of one advance; see where it fails.
+
+    ``corrupted`` counts the calls of ``blowup_step``, so the corruption
+    lands on whatever state the advance returns, a run or a single step.
+    """
     taken = []
 
-    def corrupting_step(state, tie_break):
-        new_state, record = blowup_step(state, tie_break)
+    def corrupting_step(state, tie_break, steps):
+        new_state, record = blowup_step(state, tie_break, steps)
         taken.append(new_state.step)
-        if new_state.step == corrupted:
+        if len(taken) == corrupted:
             variables = new_state.transform.variables
             terms = new_state.transform.terms
             power = tuple(new_state.multiplicity + 40 if v == "s" else 0 for v in variables)

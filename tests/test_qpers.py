@@ -147,9 +147,9 @@ def test_limit_table_over_the_step_cap_is_refused_before_any_row(monkeypatch):
 
     monkeypatch.setattr("arcinv.qpers.nash_sequence", no_rows)
     arc = monomial_arc((6, 6, 5))
-    # The bundled arc fills the cap exactly at n_max = 100: 200 * 5050 steps.
-    assert default_budget(QUINTIC, arc) * 5050 == MAX_TABLE_STEPS
-    with pytest.raises(BudgetExhausted, match="has a step budget of 1030200, over"):
-        check_limit_identity(QUINTIC, arc, n_max=101)
-    with pytest.raises(BudgetExhausted, match="has a step budget of 1010001, over"):
+    # The bundled arc fills the cap exactly at n_max = 400: 200 * 80200 steps.
+    assert default_budget(QUINTIC, arc) * 80200 == MAX_TABLE_STEPS
+    with pytest.raises(BudgetExhausted, match="has a step budget of 16120200, over"):
+        check_limit_identity(QUINTIC, arc, n_max=401)
+    with pytest.raises(BudgetExhausted, match="has a step budget of 16040001, over"):
         check_limit_identity(QUINTIC, arc, n_max=1, budget=MAX_TABLE_STEPS + 1)
