@@ -15,7 +15,7 @@ the successive transforms.
 One blow-up step, in coordinates:
 
 * chart: the lifted arc lives in the chart of a component of minimal
-  t-order (ties prefer the cylinder variable s, then the lowest index),
+  t-order (ties: s under ``s_first``, else the lowest index),
 * equation: substitute x_j -> x_j * u for every j other than the chart
   variable u and divide by u^m, i.e. map each exponent e to e' with
   e'_u = |e| - m; exact because m is the order of the transform (checked),
@@ -24,14 +24,16 @@ One blow-up step, in coordinates:
 * recenter: translate coordinates so the lifted arc is centered at the
   origin again, and read the next multiplicity off the recentered equation.
 
-Under ``s_first`` the chart is always s (order 1, the others >= 1), which
-stays t, so K center-0 steps at multiplicity m map e_s to e_s + K(|e_x| - m)
-and divide the other components by t^K.  ``blowup_step`` takes them as one
-run, K the least of the steps left, min_j ord gamma_j - 1 (then the center
-moves) and floor((a + b - m)/(m - a)) + 1 over terms with a = |e_x| < m,
-b = e_s (then the multiplicity drops).  Each earlier step reads m, as single
-steps would: no term has degree < m, and a term of degree m with a < m would
-make K = 1, so one with |e_x| = m, e_s = 0 keeps degree m.
+The tie-break only picks the chart u, of order o_u.  K center-0 steps in
+chart u at multiplicity m map e_u to e_u + K(a - m), a = |e| - e_u, and
+divide the other components by gamma_u^K (by t^K under ``s_first``, where
+u = s stays t).  ``blowup_step`` takes them as one run, K the least of the
+steps left, floor((o_j - 1)/o_u) over the other components of finite order
+(then the center moves) and floor((a + b - m)/(m - a)) + 1 over terms with
+a < m, b = e_u (then the multiplicity drops).  As K o_u < o_j, after k < K
+steps o_j - k o_u > o_u for all j: the center is 0 and any tie-break keeps
+u.  Each earlier step reads m, as single steps would: no term has degree
+< m, and if K > 1 the terms of degree m have a = m, b = 0 and keep it.
 
 ``nash_sequence`` checks exactly, by a full pullback, that the lifted arc
 stays on the transform after each step with a nonzero center and at the end.
@@ -147,8 +149,8 @@ def blowup_step(
 ) -> tuple[DirectedBlowupState, BlowupRecord]:
     """Directed blow-ups: transform the equation, lift and recenter the arc.
 
-    One step, or under ``s_first`` a run of at most ``steps`` (module
-    docstring).  It leaves the membership check to ``nash_sequence``.
+    A run of at most ``steps`` blow-ups in the chart the tie-break picks
+    (module docstring).  It leaves the membership check to ``nash_sequence``.
     """
     gamma = state.lifted
     orders = [comp.t_order() for comp in gamma]
@@ -157,9 +159,8 @@ def blowup_step(
         raise PreconditionError("cannot blow up along a constant arc")
     if tie_break not in ("s_first", "lowest_index"):
         raise ValueError(f"unknown tie break rule {tie_break!r}")
-    s_index = len(gamma) - 1
-    s_chart = tie_break == "s_first" and orders[s_index] == lowest
-    chart = s_index if s_chart else orders.index(lowest)
+    chart = (len(gamma) - 1 if tie_break == "s_first" and orders[-1] == lowest
+             else orders.index(lowest))
 
     m = state.multiplicity
     variables = state.transform.variables
@@ -168,13 +169,12 @@ def blowup_step(
         raise RuntimeError(
             "strict transform division is not exact; multiplicity bookkeeping broke"
         )
-    k = 1
-    if s_chart and order == m:
-        bounds = [steps] + [o - 1 for o in orders[:s_index] if o != math.inf]
-        for e in state.transform.terms:
-            if (a := sum(e) - e[chart]) < m:
-                bounds.append((sum(e) - m) // (m - a) + 1)
-        k = max(1, min(bounds))
+    others = orders[:chart] + orders[chart + 1 :]
+    bounds = [steps] + [(o - 1) // lowest for o in others if o != math.inf]
+    for e in state.transform.terms:
+        if (a := sum(e) - e[chart]) < m:
+            bounds.append((sum(e) - m) // (m - a) + 1)
+    k = max(1, min(bounds)) if order == m else 1
     transform = state.transform._map_exponents(
         lambda e: e[:chart] + (e[chart] + k * (sum(e) - e[chart] - m),) + e[chart + 1 :]
     )
@@ -249,14 +249,14 @@ def nash_sequence(
     return NashReport(m0, rho, False, budget, tuple(runs))
 
 
-def persistance(surface: Hypersurface, arc: Arc, budget: int | None = None) -> int | float:
+def persistance(surface: Hypersurface, arc: Arc) -> int | float:
     """Number of blow-ups the arc survives at the initial multiplicity.
 
     Returns infinity for arcs trapped in the maximal multiplicity locus and
-    raises ``BudgetExhausted`` when the drop was not reached in the allowed
-    number of steps.
+    raises ``BudgetExhausted`` when the drop was not reached within
+    ``default_budget`` steps.
     """
-    report = nash_sequence(surface, arc, max_steps=budget)
+    report = nash_sequence(surface, arc)
     if report.infinite:
         return math.inf
     if report.rho is None:

@@ -266,9 +266,12 @@ def test_verify_suites_take_no_tuning_flags(flag, capsys):
     assert time.perf_counter() - start < 1
 
 
-# Placeholder for an arc written by the test: (t^60, t^60, t^50) on x2y3z6,
-# r = 60, ten times the bundled arc's, so its rows take ten times the steps.
+# Placeholders for arcs written by the test: (t^60, t^60, t^50) on x2y3z6,
+# r = 60, ten times the bundled arc's, so its rows take ten times the steps;
+# and (t^6n, t^6n, t^5n) at n = 10^6, a 200-byte document whose sequence
+# would list 6,000,000 steps.
 R60_ARC = "arc_t60_t60_t50"
+N6_ARC = "arc_t6n_t6n_t5n"
 
 
 @pytest.mark.parametrize(
@@ -286,13 +289,22 @@ R60_ARC = "arc_t60_t60_t50"
         (["qpers", "--surface", str(DATA / "x2y3z6_surface.json"),
           "--arc", R60_ARC, "--n-max", "127"],
          "up to n_max 127 has a step budget of 16256000, over 16040000"),
+        (["nash", "--surface", str(DATA / "x2y3z6_surface.json"), "--arc", N6_ARC],
+         "a step budget of 200000000 is over 50000"),
+        (["nash", "--surface", str(DATA / "x2y3z6_surface.json"), "--arc", N6_ARC,
+          "--trace"], "a step budget of 200000000 is over 50000"),
+        (["nash", "--surface", str(DATA / "x2y3z6_surface.json"),
+          "--arc", str(DATA / "arc_t6_t6_t5.json"), "--budget", "50001"],
+         "a step budget of 50001 is over 50000"),
     ],
-    ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max", "qpers-r-60"],
+    ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max", "qpers-r-60",
+         "nash-n-10-6", "nash-n-10-6-trace", "nash-budget"],
 )
 def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, tmp_path, capsys):
-    r60 = tmp_path / "r60.json"
-    save_document(r60, arc_to_doc(monomial_arc((60, 60, 50))))
-    argv = [str(r60) if a == R60_ARC else a for a in argv]
+    placeholders = {R60_ARC: (60, 60, 50), N6_ARC: (6 * 10**6, 6 * 10**6, 5 * 10**6)}
+    for name, powers in placeholders.items():
+        save_document(tmp_path / name, arc_to_doc(monomial_arc(powers)))
+    argv = [str(tmp_path / a) if a in placeholders else a for a in argv]
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start

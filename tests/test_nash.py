@@ -69,13 +69,14 @@ def test_trapped_arc_reports_infinite_persistance():
     assert persistance(DOUBLE_PLANE, arc) == math.inf
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     report = nash_sequence(QUINTIC, monomial_arc((6, 6, 5)), max_steps=2)
     assert report.rho is None
     assert not report.infinite
     assert report.status == "not-reached(2)"
+    monkeypatch.setattr(arcinv.nash, "default_budget", lambda surface, arc: 2)
     with pytest.raises(BudgetExhausted):
-        persistance(QUINTIC, monomial_arc((6, 6, 5)), budget=2)
+        persistance(QUINTIC, monomial_arc((6, 6, 5)))
 
 
 @pytest.mark.parametrize("max_steps", [0, -3])
@@ -162,8 +163,15 @@ def _on_quintic(u, v):
     return x2y3z6_parametrization().arc([TPoly(dict(enumerate(c))) for c in (u, v)])
 
 
+# x y^3 - z^3 with x = u^3, y = v, z = u v.  Its sampled arcs have r = 3/2 or
+# 9/2, so under ramification some drops fall inside a run of center-0 steps.
+XY3 = Hypersurface(Polynomial(XYZ, {(1, 3, 0): 1, (0, 0, 3): -1}))
+XY3_ROWS = [(3, 0, 1), (0, 1, 1)]
+
+
 # Arcs whose runs mix center-0 and translating steps in s and coordinate
-# charts; small integer coefficients keep the perturbed pullbacks cheap.
+# charts; small coefficients keep the perturbed pullbacks cheap.  The last
+# one takes a run of two steps in the y chart under ``lowest_index``.
 ARCS_ON_SURFACES = [
     (CUSP, monomial_arc((3, 2))),
     (NODE, monomial_arc((1, None))),
@@ -172,6 +180,7 @@ ARCS_ON_SURFACES = [
     (QUINTIC, _on_quintic([0, 0, 1, 1], [0, 0, 0, 1, -2])),
     (QUINTIC, _on_quintic([0, 1, 1], [0, 1, -2])),
     (QUINTIC, _on_quintic([0, 1, 1], [0, 0, 1, -2])),
+    (XY3, sample_binomial_arc(XY3, XY3_ROWS, (1, 1), 0).ramify(4)),
 ]
 
 
@@ -217,24 +226,26 @@ def test_each_step_divides_the_pullback_by_the_chart_component(case, tie_break):
 
 
 @settings(max_examples=50, deadline=None)
-@given(perturbed_states(), st.integers(1, 40))
-def test_each_run_divides_the_pullback_by_t_to_the_k_m(case, steps):
-    """F(gamma) == t^(K m) * F'(gamma') for a run of K steps at multiplicity m.
+@given(perturbed_states(), st.sampled_from(["s_first", "lowest_index"]), st.integers(1, 40))
+def test_each_run_divides_the_pullback_by_the_chart_component(case, tie_break, steps):
+    """F(gamma) == gamma_u^(K m) * F'(gamma') for a run of K steps at multiplicity m.
 
-    Under ``s_first`` the pivot is s = t, so this is the identity above for
-    K steps at once; it is what lets a whole run go unchecked.
+    gamma_u is the chart component before the run; under ``s_first`` it is
+    s = t.  This is the identity above for K steps at once, in any chart; it
+    is what lets a whole run go unchecked.
     """
     state, _ = case
     pullback = state.transform.compose(state.lifted)
     assume(not pullback.is_zero)
     while state.multiplicity > 1:
         try:
-            after, run = blowup_step(state, "s_first", steps)
+            after, run = blowup_step(state, tie_break, steps)
         except RuntimeError:  # the new center is off the transform
             break
         assert run.length <= steps and after.step == state.step + run.length
+        pivot = state.lifted[state.transform.variables.index(run.chart)]
         after_pullback = after.transform.compose(after.lifted)
-        assert after_pullback * TRational.t(run.length * state.multiplicity) == pullback
+        assert after_pullback * pivot ** (run.length * state.multiplicity) == pullback
         state, pullback = after, after_pullback
 
 
@@ -259,28 +270,27 @@ def stepwise(surface, arc, max_steps, tie_break, stop_at_drop):
             return tuple(sequence), tuple(trace), rho, budget
 
 
-# x y^3 - z^3 with x = u^3, y = v, z = u v.  Its sampled arcs have r = 3/2 or
-# 9/2, so under ramification some drops fall inside a run of center-0 steps.
-XY3 = Hypersurface(Polynomial(XYZ, {(1, 3, 0): 1, (0, 0, 3): -1}))
-XY3_ROWS = [(3, 0, 1), (0, 1, 1)]
-
-
 @st.composite
 def engine_runs(draw):
     """A surface and the arguments of ``nash_sequence`` on a sampled arc, ramified.
 
-    ``lowest_index`` takes single steps on transforms that grow fast with n
-    and past the drop (seconds per arc of type (2, 1)), so it is drawn on
-    unramified arcs of the smaller types only.
+    ``lowest_index`` takes runs in coordinate charts, which x y^3 - z^3 arcs
+    reach when ramified by n = 4.  Its transforms grow fast with n and past
+    the drop (seconds per quintic arc of type (2, 1), and per x y^3 - z^3
+    arc of orders (2, 3) at n >= 3), so it is drawn on unramified quintic
+    arcs of the smaller types and on x y^3 - z^3 arcs at n <= 4, with
+    orders (2, 3) at n <= 2 only.
     """
     tie_break = draw(st.sampled_from(["s_first", "lowest_index"]))
-    n = draw(st.integers(1, 6)) if tie_break == "s_first" else 1
     seed = draw(st.integers(0, 2))
     if draw(st.booleans()):
+        n = draw(st.integers(1, 6)) if tie_break == "s_first" else 1
         kinds = [(1, 0), (0, 1), (1, 1)] + [(2, 1)] * (tie_break == "s_first")
         surface, arc = QUINTIC, sampled_arc(*draw(st.sampled_from(kinds)), seed)
     else:
-        orders = draw(st.sampled_from([(1, 1), (2, 1), (2, 3)]))
+        n = draw(st.integers(1, 6 if tie_break == "s_first" else 4))
+        slow = tie_break == "lowest_index" and n > 2
+        orders = draw(st.sampled_from([(1, 1), (2, 1)] + [(2, 3)] * (not slow)))
         surface, arc = XY3, sample_binomial_arc(XY3, XY3_ROWS, orders, seed)
     budget = draw(st.one_of(st.none(), st.integers(1, 30)))
     return surface, arc.ramify(n), budget, tie_break, draw(st.booleans())
@@ -295,6 +305,15 @@ def test_runs_report_what_single_steps_report(case):
     expected = stepwise(*case)
     assert (report.sequence, report.trace, report.rho, report.budget) == expected
     assert sum(run.length for run in report.runs) == len(report.trace)
+
+
+def test_lowest_index_takes_a_run_in_a_coordinate_chart():
+    """A run of two y-chart steps, against the single-step oracle."""
+    arc = sample_binomial_arc(XY3, XY3_ROWS, (1, 1), 0).ramify(4)
+    report = nash_sequence(XY3, arc, tie_break="lowest_index")
+    assert any(run.chart != "s" and run.length >= 2 for run in report.runs)
+    expected = stepwise(XY3, arc, None, "lowest_index", True)
+    assert (report.sequence, report.trace, report.rho, report.budget) == expected
 
 
 @pytest.mark.parametrize(
