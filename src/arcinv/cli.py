@@ -148,9 +148,11 @@ def _cmd_nash(job: JobSpec) -> tuple[list[str], dict, int]:
             MAX_NASH_STEPS, f"a step budget of {budget} is over {MAX_NASH_STEPS}"
         )
     report = nash_sequence(surface, arc, max_steps=job.budget)
+    sequence = report.sequence
+    trace = report.trace if job.trace else ()
     lines = [
         f"surface: {surface.f} (multiplicity {surface.multiplicity} at the origin)",
-        "multiplicity sequence: " + " ".join(str(m) for m in report.sequence),
+        "multiplicity sequence: " + " ".join(str(m) for m in sequence),
     ]
     if report.infinite:
         lines.append("persistance: infinite (arc trapped in the maximal multiplicity locus)")
@@ -158,16 +160,15 @@ def _cmd_nash(job: JobSpec) -> tuple[list[str], dict, int]:
         lines.append(f"persistance rho: {report.rho}")
     else:
         lines.append(f"persistance not reached within {report.budget} steps")
-    if job.trace:
-        for record in report.trace:
-            center = ", ".join(format_rational(x) for x in record.center)
-            lines.append(
-                f"  step {record.step}: chart {record.chart}, center ({center}), "
-                f"multiplicity {record.multiplicity}"
-            )
+    for record in trace:
+        center = ", ".join(format_rational(x) for x in record.center)
+        lines.append(
+            f"  step {record.step}: chart {record.chart}, center ({center}), "
+            f"multiplicity {record.multiplicity}"
+        )
     payload = {
         "command": "nash",
-        "sequence": list(report.sequence),
+        "sequence": list(sequence),
         "rho": report.rho,
         "status": report.status,
         "budget": report.budget,
@@ -180,7 +181,7 @@ def _cmd_nash(job: JobSpec) -> tuple[list[str], dict, int]:
                 "center": [_machine_rational(x) for x in record.center],
                 "multiplicity": record.multiplicity,
             }
-            for record in report.trace
+            for record in trace
         ]
     code = EXIT_OK if report.infinite or report.rho is not None else EXIT_INCONCLUSIVE
     return lines, payload, code

@@ -10,6 +10,12 @@ arithmetic operators.  A blow-up needs only ``translate``,
 ``partial_derivative``, ``_map_exponents`` and the pullback along an arc
 (``compose``, ``compose_order``).
 
+``compose_order`` reads the order of a pullback from its leading form: if
+value i starts l_i t^(o_i), every term c_e x^e with no zero factor starts
+c_e prod_i l_i^(e_i) t^(e . o), so when the terms of least weight e . o do
+not cancel at l, that weight is the order.  Only a cancellation, or a zero
+pullback, builds the full numerator.
+
 Coefficients are kept in the integer form of ``TPoly`` (numerators over one
 denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
 ``items()`` show them as ``Fraction``s.  No floats enter at any point
@@ -83,6 +89,11 @@ class Polynomial:
     def terms(self) -> dict[Exponent, Fraction]:
         """A new map from exponents to nonzero Fraction coefficients."""
         return {e: Fraction(c, self._den) for e, c in self._nums.items()}
+
+    @property
+    def integer_form(self) -> tuple[dict[Exponent, int], int]:
+        """(nums, den), x^e having coefficient nums[e] / den; read-only."""
+        return self._nums, self._den
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in a deterministic (sorted) order."""
@@ -224,9 +235,41 @@ class Polynomial:
     def compose_order(self, values: Sequence[TRational]) -> int | float:
         """Vanishing order in t of the substitution, infinity when it is zero.
 
-        Reads the order off the unreduced numerator, skipping the quotient
-        normalization that ``compose`` performs.
+        Value i = n(t)/a over d(t)/b starts l_i t^(o_i), with o_i = ord n and
+        l_i = n(o_i) b / (a d(0)), as d(0) != 0.  So a term c_e x^e with no
+        zero value among its factors starts c_e prod_i l_i^(e_i) t^(e . o);
+        with low the least such e . o, the coefficient of t^low in the
+        pullback is S = sum over e . o = low of c_e prod_i l_i^(e_i), and all
+        else starts higher: S != 0 proves the order is low.  S is tested over
+        the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i in
+        S.  Only when S = 0 (a cancellation, or a zero pullback) is the full
+        numerator built and its order read off.
         """
+        if len(values) != len(self._variables):
+            raise ValueError("substitution needs one value per variable")
+        leads = []
+        for value in values:
+            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+            o = min(n, default=None)
+            leads.append(None if o is None else (o, n[o] * b, d[0] * a))
+        low, lowest = math.inf, []
+        for e, c in self._nums.items():
+            if any(k and lead is None for k, lead in zip(e, leads)):
+                continue
+            weight = sum(k * lead[0] for k, lead in zip(e, leads) if k)
+            if weight < low:
+                low, lowest = weight, []
+            if weight == low:
+                lowest.append((e, c))
+        tops = [max(column) for column in zip(*(e for e, _ in lowest))]
+        total = 0
+        for e, c in lowest:
+            for k, top, lead in zip(e, tops, leads):
+                if top:
+                    c *= lead[1] ** k * lead[2] ** (top - k)
+            total += c
+        if total:
+            return low
         num, _ = self._compose_parts(values)
         return num.order()
 

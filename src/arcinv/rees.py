@@ -93,11 +93,17 @@ class ReesAlgebra:
         return best
 
 
-def _scalar_normal_form(p: Polynomial) -> tuple:
-    """A key identifying p up to a nonzero scalar factor."""
-    items = p.items()
-    lead = items[-1][1]
-    return tuple((e, c / lead) for e, c in items)
+def _scalar_normal_form(p: Polynomial) -> frozenset:
+    """A key identifying p up to a nonzero scalar factor.
+
+    The primitive integer numerators of p, signed so that the coefficient of
+    the largest exponent is positive.
+    """
+    nums, _ = p.integer_form
+    g = math.gcd(*nums.values())
+    if nums[max(nums)] < 0:
+        g = -g
+    return frozenset((e, c // g) for e, c in nums.items())
 
 
 def diff_saturate(surface: Hypersurface) -> ReesAlgebra:
@@ -115,7 +121,7 @@ def diff_saturate(surface: Hypersurface) -> ReesAlgebra:
     f = surface.f
     n = len(f.variables)
     generators: list[tuple[Polynomial, int]] = [(f, b)]
-    seen: set[tuple[int, tuple]] = {(b, _scalar_normal_form(f))}
+    seen: set[tuple[int, frozenset]] = {(b, _scalar_normal_form(f))}
     level: dict[tuple[int, ...], Polynomial] = {(0,) * n: f}
     for depth in range(1, b):
         weight = b - depth

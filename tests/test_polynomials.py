@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arcinv.arcs import Hypersurface, monomial_arc
 from arcinv.polynomials import Polynomial
+from arcinv.qpers import q_persistance
 from arcinv.tseries import TPoly, TRational, _convolve
 
 VARS = ("x", "y", "z")
@@ -131,6 +134,82 @@ def test_compose_of_quotients_matches_sympy(p, values):
     num = sympy.fraction(expected)[0]
     order = math.inf if num == 0 else min(k for (k,) in sympy.Poly(num, T).monoms())
     assert p.compose_order(values) == order
+
+
+def leading_term(value):
+    """(o, l) with value = l t^o + higher powers; None for the zero function."""
+    if value.is_zero:
+        return None
+    (o, c), (_, d0) = value.num.items()[0], value.den.items()[0]
+    return o, c / d0
+
+
+def cancelled_at_the_lowest_weight(p, values):
+    """p (x^a + x^b) for two monomials of one weight, less its lowest-weight coefficient S.
+
+    With o_i and l_i the order and leading coefficient of value i, the weight
+    of x^e is e . o.  At least two values must be nonzero, so that x^a and
+    x^b exist.  Multiplying by x^a + x^b leaves at least two terms of the
+    lowest weight among those with no zero value as a factor; subtracting
+    (S / prod_i l_i^(e0_i)) x^e0 for one of them, e0, makes S = 0 while a
+    term of that weight remains.  When every term has such a factor, S is
+    the empty sum and the product is returned as it is.
+    """
+    leads = [leading_term(v) for v in values]
+    live = [i for i, lead in enumerate(leads) if lead is not None]
+    unit = lambda i, k: tuple(k if j == i else 0 for j in range(len(values)))
+    flat = [i for i in live if leads[i][0] == 0]
+    if flat:
+        a, b = unit(flat[0], 0), unit(flat[0], 1)
+    else:
+        i, j = live[:2]
+        a, b = unit(i, leads[j][0]), unit(j, leads[i][0])
+    terms = {}
+    for e, c in p.items():
+        for shift in (a, b):
+            key = tuple(map(sum, zip(e, shift)))
+            terms[key] = terms.get(key, 0) + c
+    weight = {e: sum(k * lead[0] for k, lead in zip(e, leads) if k)
+              for e, c in terms.items()
+              if c and all(lead is not None for k, lead in zip(e, leads) if k)}
+    if weight:
+        low = min(weight.values())
+        lowest = sorted(e for e, w in weight.items() if w == low)
+        monomial = lambda e: math.prod(lead[1] ** k for k, lead in zip(e, leads) if k)
+        e0 = lowest[0]
+        terms[e0] -= sum(terms[e] * monomial(e) for e in lowest) / monomial(e0)
+    return Polynomial(p.variables, terms)
+
+
+# Two nonzero quotients and one value that may be zero, in any order.
+live_tpolys = st.tuples(
+    st.dictionaries(st.integers(0, 4), coeffs, max_size=2), st.integers(0, 4), coeffs.filter(bool)
+).map(lambda parts: TPoly({**parts[0], parts[1]: parts[2]}))
+live_quotients = st.tuples(live_tpolys, unit_tpolys).map(lambda nd: TRational(*nd))
+mixed_values = st.tuples(
+    live_quotients, live_quotients, st.one_of(st.just(TRational(TPoly.zero())), quotients)
+).flatmap(st.permutations)
+
+
+@settings(deadline=None)
+@given(low_polys.filter(bool), mixed_values)
+def test_compose_order_after_a_cancellation_of_the_leading_form(p, values):
+    q = cancelled_at_the_lowest_weight(p, values)
+    with mock.patch.object(Polynomial, "_compose_parts", autospec=True,
+                           side_effect=Polynomial._compose_parts) as full:
+        order = q.compose_order(values)
+    assert full.call_count == 1
+    assert order == q.compose(values).t_order()
+
+
+def test_a_finite_order_runs_no_full_pullback():
+    """Only the membership check of q_persistance, a zero pullback, builds a numerator."""
+    surface = Hypersurface(Polynomial(VARS, {(2, 3, 0): 1, (0, 0, 6): -1}))
+    with mock.patch.object(Polynomial, "_compose_parts", autospec=True,
+                           side_effect=Polynomial._compose_parts) as full:
+        assert q_persistance(surface, monomial_arc((6, 6, 5))).r == 6
+    assert full.call_count == 1
+    assert full.call_args.args[0] == surface.f
 
 
 def per_term_parts(p, values):
