@@ -14,7 +14,15 @@ arithmetic operators.  A blow-up needs only ``translate``,
 value i starts l_i t^(o_i), every term c_e x^e with no zero factor starts
 c_e prod_i l_i^(e_i) t^(e . o), so when the terms of least weight e . o do
 not cancel at l, that weight is the order.  Only a cancellation, or a zero
-pullback, builds the full numerator.
+pullback, needs the full numerator num(t), and it takes one of two routes,
+chosen from the values.  When every value is dense (numerator and
+denominator each of degree below twice their term count, zero included) and
+not every one is a monomial, num is evaluated at t = 2^W by the same nested
+sum over Python integers: W is a bound on the bit length of num's
+coefficients, so each fills its own slot of W bits, the value is 0 exactly
+when num is, and otherwise its 2-adic valuation over W is the order.
+Monomial and other sparse values, such as ramified arcs t^(kn), whose slots
+would be mostly empty, build num as a map of powers (``_compose_parts``).
 
 Coefficients are kept in the integer form of ``TPoly`` (numerators over one
 denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
@@ -29,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .tseries import _UNIT, TPoly, TRational, _convolve, _format, _lcm_form, _lowest
+from .tseries import _UNIT, Terms, TPoly, TRational, _convolve, _format, _lcm_form, _lowest
 from .tseries import exact, is_exponent
 
 Scalar = Union[int, Fraction]
@@ -50,6 +58,30 @@ def _checked(variables: Sequence[str], exponents: Iterable) -> tuple[str, ...]:
 def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two maps from powers of t to integers; free when one is 1."""
     return b if a == _UNIT else a if b == _UNIT else _convolve(a, b)
+
+
+def _integer_parts(value: TRational) -> tuple[Terms, Terms]:
+    """(P, Q) with value = P / Q over the integers: n(t)/a over d(t)/b is b*n over a*d."""
+    (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+    return {k: c * b for k, c in n.items()}, {k: c * a for k, c in d.items()}
+
+
+def _dense(values: Sequence[TRational]) -> bool:
+    """Whether a full pullback along values is taken by ``_evaluated_order``.
+
+    Every numerator and denominator must have degree below twice its term
+    count (zero included), so that over half of its slots at t = 2^W are
+    full, and some value must have two terms or more: with every value a
+    monomial or zero, ``_compose_parts`` convolves nothing.
+    """
+    spread = False
+    for value in values:
+        for part in (value.num, value.den):
+            nums = part.integer_form[0]
+            if nums and max(nums) >= 2 * len(nums):
+                return False
+            spread = spread or len(nums) > 1
+    return spread
 
 
 class Polynomial:
@@ -194,9 +226,7 @@ class Polynomial:
         factors: list[dict[int, dict[int, int]]] = []
         den = {0: self._den}
         for value, column in zip(values, zip(*self._nums)):
-            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
-            p = {k: c * b for k, c in n.items()}
-            q = {k: c * a for k, c in d.items()}
+            p, q = _integer_parts(value)
             top = max(column)
             if len(p) == len(q) == 1:
                 (i, c), (j, g) = *p.items(), *q.items()
@@ -242,8 +272,9 @@ class Polynomial:
         pullback is S = sum over e . o = low of c_e prod_i l_i^(e_i), and all
         else starts higher: S != 0 proves the order is low.  S is tested over
         the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i in
-        S.  Only when S = 0 (a cancellation, or a zero pullback) is the full
-        numerator built and its order read off.
+        S.  Only when S = 0 (a cancellation, or a zero pullback) is the order
+        read from the full numerator: by ``_evaluated_order`` when every value
+        is dense and not all are monomials, else from ``_compose_parts``.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
@@ -270,8 +301,65 @@ class Polynomial:
             total += c
         if total:
             return low
+        if _dense(values):
+            return self._evaluated_order(values)
         num, _ = self._compose_parts(values)
         return num.order()
+
+    def _evaluated_order(self, values: Sequence[TRational]) -> int | float:
+        """Order of the pullback's numerator, read from its value at t = 2^W.
+
+        With x_i = P_i / Q_i (``_integer_parts``), M_i the top power of
+        variable i and N the number of terms, num = sum_e c_e prod_i
+        P_i^(e_i) Q_i^(M_i - e_i) is evaluated at t = 2^W, through the nested
+        sum of ``_compose_parts`` over integers, where
+
+            W = bitlen N + max_e [bitlen c_e
+                + sum_i (e_i bitlen |P_i|_1 + (M_i - e_i) bitlen |Q_i|_1)],
+
+        bitlen x the bit length of |x|, so |x| < 2^(bitlen x), and |.|_1 the
+        sum of the absolute values of the coefficients.  Proof that the order
+        read off is exact: a coefficient of a product is at most the product
+        of the factors' |.|_1, so each term's coefficients are below
+        2^(W - bitlen N), and every coefficient a_k of num, an integer,
+        satisfies |a_k| < N 2^(W - bitlen N) <= 2^W.  So v = num(2^W) =
+        sum_k a_k 2^(kW).  If num = 0, v = 0.  Otherwise, with o = ord num,
+        v = 2^(oW) (a_o + 2^W m) for an integer m, and 0 < |a_o| < 2^W gives
+        v_2(a_o) < W: hence v != 0 and v_2(v) = oW + v_2(a_o), whose quotient
+        by W is o.  So v = 0 exactly when num = 0, and ord num = v_2(v) // W
+        otherwise.  This is a proof, not a probabilistic test: the zero check
+        stays exact.
+        """
+        if not self._nums:
+            return math.inf
+        parts = [_integer_parts(value) for value in values]
+        columns = list(zip(*self._nums))
+        tops = [max(column) for column in columns]
+        bits = [
+            (sum(map(abs, p.values())).bit_length(), sum(map(abs, q.values())).bit_length())
+            for p, q in parts
+        ]
+        width = len(self._nums).bit_length() + max(
+            abs(c).bit_length()
+            + sum(k * bp + (top - k) * bq for k, top, (bp, bq) in zip(e, tops, bits))
+            for e, c in self._nums.items()
+        )
+        factors: list[dict[int, int]] = []
+        for (p, q), top, column in zip(parts, tops, columns):
+            p_at = sum(c << width * k for k, c in p.items())
+            q_at = sum(c << width * k for k, c in q.items())
+            factors.append({k: p_at**k * q_at ** (top - k) for k in set(column)})
+        level = self._nums
+        for i in reversed(range(len(factors))):
+            upper: dict[Exponent, int] = {}
+            for prefix, inner in level.items():
+                key = prefix[:-1]
+                upper[key] = upper.get(key, 0) + factors[i][prefix[-1]] * inner
+            level = upper
+        value = level[()]
+        if not value:
+            return math.inf
+        return ((value & -value).bit_length() - 1) // width
 
     def _map_exponents(
         self, fn: Callable[..., Sequence[int]], variables: Sequence[str] | None = None

@@ -1,6 +1,7 @@
 """Multivariate layer, checked against sympy where an oracle helps."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -10,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcinv.arcs import Hypersurface, monomial_arc
+from arcinv.nash import nash_sequence, persistance
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
 from arcinv.tseries import TPoly, TRational, _convolve
+from arcinv.verify import sampled_arc, x2y3z6_surface
 
 VARS = ("x", "y", "z")
 SYMS = sympy.symbols(VARS)
@@ -106,12 +109,6 @@ def test_compose_with_polynomials_matches_sympy(p, a, b, c):
     assert sympy.expand(tpoly_to_sympy(got.num)) == expected
 
 
-@given(polys, small_tpolys, small_tpolys, small_tpolys)
-def test_compose_order_agrees_with_compose(p, a, b, c):
-    values = [TRational(a), TRational(b), TRational(c)]
-    assert p.compose_order(values) == p.compose(values).t_order()
-
-
 # Quotients n/d with rational coefficients and d(0) != 0, d not monic: the
 # canonical den is then monic with fractional coefficients, so both scalars
 # of the integer form (a of n, b of d) differ from 1.
@@ -122,6 +119,48 @@ quotients = st.tuples(small_tpolys, unit_tpolys).map(lambda nd: TRational(*nd))
 low_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=4
 ).map(lambda terms: Polynomial(VARS, terms))
+zero_value = TRational(TPoly.zero())
+
+# Numerators over 200 bits (2^203 or more, over at most 6), so that the slot
+# width of the evaluation at t = 2^W must count the coefficients' bits.
+wide_coeffs = st.tuples(st.integers(2**203, 2**230), st.sampled_from((-1, 1)), st.integers(1, 6))
+some_coeffs = st.one_of(coeffs, wide_coeffs.map(lambda nsd: Fraction(nsd[0] * nsd[1], nsd[2])))
+wide_tpolys = st.dictionaries(st.integers(0, 4), some_coeffs, max_size=3).map(TPoly)
+wide_polys = st.one_of(
+    st.just(Polynomial(VARS, {})),
+    st.dictionaries(exponents, some_coeffs, max_size=6).map(lambda terms: Polynomial(VARS, terms)),
+)
+wide_values = st.one_of(st.just(zero_value), wide_tpolys.map(TRational), quotients)
+
+# u = n/d with n dense from order 1 or 2 on, as sample_binomial_arc builds it.
+dense_quotients = st.tuples(
+    st.integers(1, 2), st.lists(some_coeffs.filter(bool), min_size=4, max_size=4), unit_tpolys
+).map(lambda parts: TRational(TPoly({parts[0] + k: c for k, c in enumerate(parts[1])}), parts[2]))
+
+
+def binomial_pullback(a, b, c, scale, shift, u, v):
+    """scale (x^a y^b - z^c) in z recentered by shift, along (u^c, v^c, u^a v^b - shift).
+
+    The pullback is zero.  The shift makes it a sum in which numerators and
+    denominators mix, so that a wrong denominator cannot cancel out.
+    """
+    p = Polynomial(VARS, {(a, b, 0): scale, (0, 0, c): -scale}).translate((0, 0, shift))
+    return p, (u**c, v**c, u**a * v**b - shift)
+
+
+exponent = st.integers(1, 3)
+binomial_pullbacks = st.builds(
+    binomial_pullback, exponent, exponent, exponent, some_coeffs.filter(bool), coeffs,
+    dense_quotients, dense_quotients,
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(wide_polys, st.tuples(wide_values, wide_values, wide_values)),
+                 binomial_pullbacks))
+def test_compose_order_agrees_with_compose(pullback):
+    p, values = pullback
+    assert p.compose_order(values) == p.compose(values).t_order()
 
 
 @settings(deadline=None)
@@ -191,25 +230,55 @@ mixed_values = st.tuples(
 ).flatmap(st.permutations)
 
 
-@settings(deadline=None)
-@given(low_polys.filter(bool), mixed_values)
-def test_compose_order_after_a_cancellation_of_the_leading_form(p, values):
-    q = cancelled_at_the_lowest_weight(p, values)
+low_wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), some_coeffs, max_size=4
+).map(lambda terms: Polynomial(VARS, terms))
+cancellations = st.tuples(low_wide_polys.filter(bool), mixed_values).map(
+    lambda pv: (cancelled_at_the_lowest_weight(*pv), pv[1])
+)
+
+
+@contextmanager
+def full_pullbacks():
+    """Spies on the two routes of a full pullback: (_compose_parts, _evaluated_order)."""
     with mock.patch.object(Polynomial, "_compose_parts", autospec=True,
-                           side_effect=Polynomial._compose_parts) as full:
+                           side_effect=Polynomial._compose_parts) as parts, \
+         mock.patch.object(Polynomial, "_evaluated_order", autospec=True,
+                           side_effect=Polynomial._evaluated_order) as evaluated:
+        yield parts, evaluated
+
+
+@settings(deadline=None)
+@given(st.one_of(cancellations, binomial_pullbacks))
+def test_compose_order_after_a_cancellation_of_the_leading_form(pullback):
+    q, values = pullback
+    with full_pullbacks() as (parts, evaluated):
         order = q.compose_order(values)
-    assert full.call_count == 1
+    assert parts.call_count + evaluated.call_count == 1
     assert order == q.compose(values).t_order()
 
 
 def test_a_finite_order_runs_no_full_pullback():
     """Only the membership check of q_persistance, a zero pullback, builds a numerator."""
     surface = Hypersurface(Polynomial(VARS, {(2, 3, 0): 1, (0, 0, 6): -1}))
-    with mock.patch.object(Polynomial, "_compose_parts", autospec=True,
-                           side_effect=Polynomial._compose_parts) as full:
+    with full_pullbacks() as (parts, evaluated):
         assert q_persistance(surface, monomial_arc((6, 6, 5))).r == 6
-    assert full.call_count == 1
-    assert full.call_args.args[0] == surface.f
+    calls = parts.call_args_list + evaluated.call_args_list
+    assert len(calls) == 1
+    assert calls[0].args[0] == surface.f
+
+
+def test_only_dense_values_evaluate_the_pullback():
+    """Dense values take the evaluation at t = 2^W; monomial and ramified ones do not."""
+    surface = x2y3z6_surface()
+    with full_pullbacks() as (parts, evaluated):
+        assert sampled_arc(1, 1, 0).lies_on(surface)
+    assert (parts.call_count, evaluated.call_count) == (0, 1)
+    with full_pullbacks() as (parts, evaluated):
+        assert persistance(surface, monomial_arc((6, 6, 5)).ramify(50)) == 300
+        nash_sequence(surface, sampled_arc(1, 1, 0).ramify(50))
+    assert parts.call_count > 0
+    assert evaluated.call_count == 0
 
 
 def per_term_parts(p, values):
@@ -251,7 +320,6 @@ dense_polys = st.tuples(
     tuple(0 if i == pair[1] else k for i, k in enumerate(e)): c
     for e, c in pair[0].items()
 }))
-zero_value = TRational(TPoly.zero())
 
 
 @settings(deadline=None)
