@@ -8,10 +8,12 @@ Five subcommands cover the library surface:
 * ``bounds`` -- exact bounds on the normalized order plus sampled extrema,
 * ``verify`` -- the built-in verification suites.
 
-Input documents are JSON (see ``documents``); every rational in the output
-is rendered exactly as "p/q", never as a float.  ``--format machine`` emits
-a JSON report which is byte-identical across runs for identical inputs and
-seeds.
+Each command computes one result, a dict of exact values, and only the
+chosen format is rendered from it: ``--format text`` (the default) as report
+lines, ``--format machine`` as a JSON report which is byte-identical across
+runs for identical inputs and seeds.  Input documents are JSON (see
+``documents``); every rational in the output is rendered exactly as "p/q"
+(machine reports keep a unit denominator), never as a float.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
 precondition, 4 inconclusive within the step budget, 5 failed verification,
@@ -24,7 +26,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .arcs import Arc, Hypersurface
@@ -52,11 +56,11 @@ EXIT_VERIFY_FAILED = 5
 EXIT_BROKEN_PIPE = 141
 
 # Largest step budget of ``nash`` (--budget, or 8*b*nu by default): the
-# report lists every step, so the budget bounds the output.  With --trace
-# --format machine, (t^6n, t^6n, t^5n) on x2y3z6 at --budget 50000 prints
-# 50,000 records in 2.7 s at n = 10^6 (not reached) and 49,998 in 3.0 s at
-# n = 8,333 (reached), each at 119 MB peak RSS, on a 2-vCPU Xeon VM with
-# Python 3.11.
+# report lists every step, so the budget bounds the output.  With --trace,
+# (t^6n, t^6n, t^5n) on x2y3z6 at --budget 50000 prints 50,000 records at
+# n = 10^6 (not reached) and 49,998 at n = 8,333 (reached).  Each takes
+# 1.3-2.7 s at 113 MB peak RSS with --format machine, and 0.7-1.1 s at 39 MB
+# as text, on a 2-vCPU Xeon VM with Python 3.11.
 MAX_NASH_STEPS = 50_000
 
 
@@ -80,10 +84,6 @@ class JobSpec:
     suite: str = "all"
 
 
-def _machine_rational(value) -> str:
-    return format_rational(value, keep_unit_den=True)
-
-
 def _load_pair(job: JobSpec) -> tuple[Hypersurface, Arc]:
     if job.surface is None or job.arc is None:
         raise DocumentError("this command needs --surface and --arc")
@@ -96,51 +96,48 @@ def _load_resolution(job: JobSpec) -> ResolutionData:
     return load_resolution(job.resolution)
 
 
-def _cmd_qpers(job: JobSpec) -> tuple[list[str], dict, int]:
+# Each command returns (result, text lines, exit code).  The result is one
+# dict of exact values; the lines come from a generator over it, so they are
+# rendered only when ``--format text`` asks for them.
+Outcome = tuple[dict, Iterator[str], int]
+
+
+def _cmd_qpers(job: JobSpec) -> Outcome:
     if job.budget is not None and job.n_max is None:
         raise DocumentError("qpers --budget bounds the rows of --n-max; give both")
     surface, arc = _load_pair(job)
-    result = q_persistance(surface, arc)
-    lines = [
-        f"surface: {surface.f} (multiplicity {surface.multiplicity} at the origin)",
-        f"arc contact order nu: {result.nu}",
-        f"rational persistance r: {format_rational(result.r)}",
-        f"normalized order r/nu: {format_rational(result.r_bar)}",
-    ]
-    payload = {
-        "command": "qpers",
-        "multiplicity": surface.multiplicity,
-        "nu": result.nu,
-        "r": _machine_rational(result.r),
-        "r_bar": _machine_rational(result.r_bar),
-        "floor_r": result.floor_r,
-    }
-    if result.floor_r is not None:
-        lines.append(f"predicted persistance floor(r): {result.floor_r}")
-    else:
-        lines.append("the arc stays in the maximal multiplicity locus (r infinite)")
+    q = q_persistance(surface, arc)
+    result = {"command": "qpers", "multiplicity": surface.multiplicity, "nu": q.nu,
+              "r": q.r, "r_bar": q.r_bar, "floor_r": q.floor_r}
+    code = EXIT_OK
     if job.n_max is not None:
         table = check_limit_identity(surface, arc, job.n_max, job.budget)
-        rows = []
-        lines.append(f"ramification table up to n = {job.n_max}:")
-        for row in table.rows:
-            status = "ok" if row.ok else ("inconclusive" if row.ok is None else "MISMATCH")
-            lines.append(
-                f"  n = {row.n}: rho = {row.rho}, floor(n*r) = {row.expected} [{status}]"
-            )
-            rows.append(
-                {"n": row.n, "rho": row.rho, "expected": row.expected, "ok": row.ok}
-            )
-        payload["ramification_table"] = rows
-        payload["ramification_passed"] = table.passed
-        if not table.conclusive:
-            return lines, payload, EXIT_INCONCLUSIVE
-        if not table.passed:
-            return lines, payload, EXIT_VERIFY_FAILED
-    return lines, payload, EXIT_OK
+        result["ramification_table"] = [asdict(row) for row in table.rows]
+        result["ramification_passed"] = table.passed
+        code = (EXIT_INCONCLUSIVE if not table.conclusive
+                else EXIT_OK if table.passed else EXIT_VERIFY_FAILED)
+
+    def text() -> Iterator[str]:
+        yield f"surface: {surface.f} (multiplicity {surface.multiplicity} at the origin)"
+        yield f"arc contact order nu: {q.nu}"
+        yield f"rational persistance r: {format_rational(q.r)}"
+        yield f"normalized order r/nu: {format_rational(q.r_bar)}"
+        if q.floor_r is not None:
+            yield f"predicted persistance floor(r): {q.floor_r}"
+        else:
+            yield "the arc stays in the maximal multiplicity locus (r infinite)"
+        if job.n_max is not None:
+            yield f"ramification table up to n = {job.n_max}:"
+            for row in result["ramification_table"]:
+                ok = row["ok"]
+                status = "ok" if ok else ("inconclusive" if ok is None else "MISMATCH")
+                yield (f"  n = {row['n']}: rho = {row['rho']}, "
+                       f"floor(n*r) = {row['expected']} [{status}]")
+
+    return result, text(), code
 
 
-def _cmd_nash(job: JobSpec) -> tuple[list[str], dict, int]:
+def _cmd_nash(job: JobSpec) -> Outcome:
     surface, arc = _load_pair(job)
     budget = job.budget if job.budget is not None else default_budget(surface, arc)
     if budget > MAX_NASH_STEPS:
@@ -148,93 +145,76 @@ def _cmd_nash(job: JobSpec) -> tuple[list[str], dict, int]:
             MAX_NASH_STEPS, f"a step budget of {budget} is over {MAX_NASH_STEPS}"
         )
     report = nash_sequence(surface, arc, max_steps=job.budget)
-    sequence = report.sequence
-    trace = report.trace if job.trace else ()
-    lines = [
-        f"surface: {surface.f} (multiplicity {surface.multiplicity} at the origin)",
-        "multiplicity sequence: " + " ".join(str(m) for m in sequence),
-    ]
-    if report.infinite:
-        lines.append("persistance: infinite (arc trapped in the maximal multiplicity locus)")
-    elif report.rho is not None:
-        lines.append(f"persistance rho: {report.rho}")
-    else:
-        lines.append(f"persistance not reached within {report.budget} steps")
-    for record in trace:
-        center = ", ".join(format_rational(x) for x in record.center)
-        lines.append(
-            f"  step {record.step}: chart {record.chart}, center ({center}), "
-            f"multiplicity {record.multiplicity}"
-        )
-    payload = {
-        "command": "nash",
-        "sequence": list(sequence),
-        "rho": report.rho,
-        "status": report.status,
-        "budget": report.budget,
-    }
+    result = {"command": "nash", "sequence": report.sequence, "rho": report.rho,
+              "status": report.status, "budget": report.budget}
     if job.trace:
-        payload["trace"] = [
-            {
-                "step": record.step,
-                "chart": record.chart,
-                "center": [_machine_rational(x) for x in record.center],
-                "multiplicity": record.multiplicity,
-            }
-            for record in trace
+        result["trace"] = [
+            {"step": record.step, "chart": record.chart, "center": record.center,
+             "multiplicity": record.multiplicity}
+            for record in report.trace
         ]
+
+    def text() -> Iterator[str]:
+        yield f"surface: {surface.f} (multiplicity {surface.multiplicity} at the origin)"
+        yield "multiplicity sequence: " + " ".join(map(str, result["sequence"]))
+        if report.infinite:
+            yield "persistance: infinite (arc trapped in the maximal multiplicity locus)"
+        elif report.rho is not None:
+            yield f"persistance rho: {report.rho}"
+        else:
+            yield f"persistance not reached within {report.budget} steps"
+        for record in result.get("trace", ()):
+            center = ", ".join(map(format_rational, record["center"]))
+            yield (f"  step {record['step']}: chart {record['chart']}, "
+                   f"center ({center}), multiplicity {record['multiplicity']}")
+
     code = EXIT_OK if report.infinite or report.rho is not None else EXIT_INCONCLUSIVE
-    return lines, payload, code
+    return result, text(), code
 
 
-def _cmd_contact(job: JobSpec) -> tuple[list[str], dict, int]:
+def _cmd_contact(job: JobSpec) -> Outcome:
     data = _load_resolution(job)
     if job.m is None and job.m_max is None:
         raise DocumentError("contact needs --m (one level) or --m-max (a table)")
     if job.bound is not None and job.m is None:
         raise DocumentError("contact --bound sets the side of the --m search box; give both")
-    lines: list[str] = []
-    payload: dict = {"command": "contact"}
+    result: dict = {"command": "contact"}
+    code = EXIT_OK
     if job.m is not None:
         bound = job.bound if job.bound is not None else job.m
-        components = fat_components(data, job.m, bound)
-        values = [rbar_of_multiindex(data, l) for l in components]
-        lines.append(f"contact level m = {job.m}, search bound {bound}")
-        lines.append(
-            "fat components: " + ", ".join(format_multiindex(l) for l in components)
-        )
-        for l, v in zip(components, values):
-            lines.append(f"  {format_multiindex(l)}: r_bar = {format_rational(v)}")
-        level_delta = min(values)
-        lines.append(f"delta_{job.m} = {format_rational(level_delta)}")
-        payload["delta"] = _machine_rational(level_delta)
-        payload["m"] = job.m
-        payload["bound"] = bound
-        payload["components"] = [
-            {"l": list(l), "r_bar": _machine_rational(v)}
-            for l, v in zip(components, values)
+        components = [
+            {"l": l, "r_bar": rbar_of_multiindex(data, l)}
+            for l in fat_components(data, job.m, bound)
         ]
+        result.update(m=job.m, bound=bound, components=components,
+                      delta=min(c["r_bar"] for c in components))
     if job.m_max is not None:
         table = delta_limit_check(data, job.m_max)
-        lines.append(
-            f"delta table m = 1..{job.m_max} "
-            f"(order {format_rational(table.order)}):"
-        )
-        for row in table.rows:
-            flag = "ok" if row.ok else "OUTSIDE ENVELOPE"
-            lines.append(f"  delta_{row.m} = {format_rational(row.value)} [{flag}]")
-        lines.append(f"envelope check passed: {table.passed}")
-        payload["delta_table"] = [
-            {"m": row.m, "delta": _machine_rational(row.value), "ok": row.ok}
-            for row in table.rows
+        result["delta_table"] = [
+            {"m": row.m, "delta": row.value, "ok": row.ok} for row in table.rows
         ]
-        payload["envelope_passed"] = table.passed
-        if not table.passed:
-            return lines, payload, EXIT_VERIFY_FAILED
-    return lines, payload, EXIT_OK
+        result["envelope_passed"] = table.passed
+        code = EXIT_OK if table.passed else EXIT_VERIFY_FAILED
+
+    def text() -> Iterator[str]:
+        if job.m is not None:
+            yield f"contact level m = {job.m}, search bound {result['bound']}"
+            components = result["components"]
+            yield "fat components: " + ", ".join(format_multiindex(c["l"]) for c in components)
+            for c in components:
+                yield f"  {format_multiindex(c['l'])}: r_bar = {format_rational(c['r_bar'])}"
+            yield f"delta_{job.m} = {format_rational(result['delta'])}"
+        if job.m_max is not None:
+            yield f"delta table m = 1..{job.m_max} (order {format_rational(table.order)}):"
+            for row in result["delta_table"]:
+                flag = "ok" if row["ok"] else "OUTSIDE ENVELOPE"
+                yield f"  delta_{row['m']} = {format_rational(row['delta'])} [{flag}]"
+            yield f"envelope check passed: {result['envelope_passed']}"
+
+    return result, text(), code
 
 
-def _cmd_bounds(job: JobSpec) -> tuple[list[str], dict, int]:
+def _cmd_bounds(job: JobSpec) -> Outcome:
     data = _load_resolution(job)
     lower, upper = values_bounds(data)
     samples = job.samples if job.samples is not None else 500
@@ -243,69 +223,65 @@ def _cmd_bounds(job: JobSpec) -> tuple[list[str], dict, int]:
     drawn = sample_multiindices(data, samples, bound, seed)
     observed = rbar_extrema(data, drawn)
     inside = not outside_bounds(data, drawn)
-    min_attained = observed.minimum == lower
-    max_attained = observed.maximum == upper
-    lines = [
-        f"exact bounds: [{format_rational(lower)}, {format_rational(upper)}]",
-        f"sampled {samples} multi-indices (seed {seed}, box bound {bound})",
-        f"all samples inside the bounds: {inside}",
-        f"sampled minimum: {format_rational(observed.minimum)} at "
-        f"{format_multiindex(observed.argmin)}"
-        + (" [attained]" if min_attained else " [not attained on this sample]"),
-        f"sampled maximum: {format_rational(observed.maximum)} at "
-        f"{format_multiindex(observed.argmax)}"
-        + (" [attained]" if max_attained else " [not attained on this sample]"),
-    ]
-    payload = {
-        "command": "bounds",
-        "lower": _machine_rational(lower),
-        "upper": _machine_rational(upper),
-        "samples": samples,
-        "seed": seed,
-        "bound": bound,
-        "all_inside": inside,
-        "sampled_min": _machine_rational(observed.minimum),
-        "argmin": list(observed.argmin),
-        "min_attained": min_attained,
-        "sampled_max": _machine_rational(observed.maximum),
-        "argmax": list(observed.argmax),
-        "max_attained": max_attained,
+    result = {
+        "command": "bounds", "lower": lower, "upper": upper,
+        "samples": samples, "seed": seed, "bound": bound, "all_inside": inside,
+        "sampled_min": observed.minimum, "argmin": observed.argmin,
+        "min_attained": observed.minimum == lower,
+        "sampled_max": observed.maximum, "argmax": observed.argmax,
+        "max_attained": observed.maximum == upper,
     }
-    return lines, payload, EXIT_OK if inside else EXIT_VERIFY_FAILED
+
+    def text() -> Iterator[str]:
+        yield f"exact bounds: [{format_rational(lower)}, {format_rational(upper)}]"
+        yield f"sampled {samples} multi-indices (seed {seed}, box bound {bound})"
+        yield f"all samples inside the bounds: {inside}"
+        for end in ("min", "max"):
+            attained = "attained" if result[f"{end}_attained"] else "not attained on this sample"
+            yield (f"sampled {end}imum: {format_rational(result['sampled_' + end])} at "
+                   f"{format_multiindex(result['arg' + end])} [{attained}]")
+
+    return result, text(), EXIT_OK if inside else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify(job: JobSpec) -> tuple[list[str], dict, int]:
+def _cmd_verify(job: JobSpec) -> Outcome:
     from .verify import run_suite  # only this command loads the bundled suites
 
     try:
-        results = run_suite(job.suite)
+        checks = [asdict(check) for check in run_suite(job.suite)]
     except KeyError as exc:
         raise DocumentError(str(exc.args[0])) from exc
-    lines = []
-    rows = []
-    for result in results:
-        lines.append(f"{'PASS' if result.passed else 'FAIL'}  {result.ident}: {result.label}")
-        if job.trace or not result.passed:
-            lines.extend(f"      {detail}" for detail in result.details)
-        rows.append(
-            {
-                "ident": result.ident,
-                "label": result.label,
-                "passed": result.passed,
-                "details": list(result.details),
-            }
-        )
-    failed = sum(1 for result in results if not result.passed)
-    lines.append(
-        f"{len(results) - failed}/{len(results)} checks passed in suite '{job.suite}'"
-    )
-    payload = {
-        "command": "verify",
-        "suite": job.suite,
-        "checks": rows,
-        "passed": failed == 0,
-    }
-    return lines, payload, EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    passed = sum(check["passed"] for check in checks)
+    result = {"command": "verify", "suite": job.suite, "checks": checks,
+              "passed": passed == len(checks)}
+
+    def text() -> Iterator[str]:
+        for check in checks:
+            yield f"{'PASS' if check['passed'] else 'FAIL'}  {check['ident']}: {check['label']}"
+            if job.trace or not check["passed"]:
+                yield from (f"      {detail}" for detail in check["details"])
+        yield f"{passed}/{len(checks)} checks passed in suite '{job.suite}'"
+
+    return result, text(), EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
+
+
+def _machine(value):
+    """The JSON form of a result value, dicts and lists converted in place.
+
+    Every Fraction or infinity becomes "p/q" (denominator kept) or "infinity",
+    and every tuple a list.
+    """
+    if isinstance(value, (Fraction, float)):
+        return format_rational(value, keep_unit_den=True)
+    if isinstance(value, tuple):
+        return [_machine(item) for item in value]
+    if isinstance(value, dict):
+        for key, item in value.items():
+            value[key] = _machine(item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            value[i] = _machine(item)
+    return value
 
 
 _COMMANDS = {
@@ -320,7 +296,7 @@ _COMMANDS = {
 def run(job: JobSpec) -> tuple[str, int]:
     """Execute a job and return (report text, exit code)."""
     try:
-        lines, payload, code = _COMMANDS[job.command](job)
+        result, lines, code = _COMMANDS[job.command](job)
     except DocumentError as exc:
         return f"input error: {exc}", EXIT_PARSE
     except BudgetExhausted as exc:
@@ -328,7 +304,7 @@ def run(job: JobSpec) -> tuple[str, int]:
     except PreconditionError as exc:
         return f"precondition violated: {exc}", EXIT_PRECONDITION
     if job.fmt == "machine":
-        return json.dumps(payload, indent=2, sort_keys=True), code
+        return json.dumps(_machine(result), indent=2, sort_keys=True), code
     return "\n".join(lines), code
 
 

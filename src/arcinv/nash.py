@@ -171,7 +171,7 @@ def blowup_step(
         )
     others = orders[:chart] + orders[chart + 1 :]
     bounds = [steps] + [(o - 1) // lowest for o in others if o != math.inf]
-    for e in state.transform.terms:
+    for e in state.transform.integer_form[0]:
         if (a := sum(e) - e[chart]) < m:
             bounds.append((sum(e) - m) // (m - a) + 1)
     k = max(1, min(bounds)) if order == m else 1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from arcinv import cli, render
 from arcinv.arcs import Hypersurface, monomial_arc
 from arcinv.cli import main
 from arcinv.contact import ResolutionData
@@ -359,11 +360,73 @@ def test_bundled_examples_run_clean(argv, capsys):
     json.loads(outputs[0])
 
 
+# Branches no bundled example reaches, pinned in both formats with their exit
+# codes: verify with its trace, an infinite r, inconclusive runs, one contact
+# call with both tables, and sampled extrema the bounds do not attain.  The
+# test writes the two placeholders: the double plane x^2 and the arc (0, t)
+# on it, which stays in the maximal multiplicity locus.
+DOUBLE_PLANE, TRAPPED_ARC = "double_plane.json", "arc_0_t.json"
+UNBUNDLED_BRANCHES = [
+    (["verify", "corpus", "--trace"], 0),
+    (["qpers", "--surface", DOUBLE_PLANE, "--arc", TRAPPED_ARC], 0),
+    (["qpers", "--surface", "x2y3z6_surface.json", "--arc", "arc_t6_t6_t5.json",
+      "--n-max", "3", "--budget", "8"], 4),
+    (["nash", "--surface", "x2y3z6_surface.json", "--arc", "arc_t6_t6_t5.json",
+      "--budget", "2"], 4),
+    (["nash", "--surface", DOUBLE_PLANE, "--arc", TRAPPED_ARC], 0),
+    (["contact", "--resolution", "x2y3z6_resolution.json", "--m", "13",
+      "--m-max", "20"], 0),
+    (["bounds", "--resolution", "x2y3z6_resolution.json", "--samples", "1",
+      "--seed", "1"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", UNBUNDLED_BRANCHES, ids=[" ".join(argv) for argv, _ in UNBUNDLED_BRANCHES]
+)
+def test_unbundled_branches_are_pinned(argv, code, tmp_path, capsys):
+    save_document(tmp_path / DOUBLE_PLANE,
+                  hypersurface_to_doc(Hypersurface(Polynomial(("x", "y"), {(2, 0): 1}))))
+    save_document(tmp_path / TRAPPED_ARC, arc_to_doc(monomial_arc((None, 1))))
+    folder = {DOUBLE_PLANE: tmp_path, TRAPPED_ARC: tmp_path}
+    paths = [str(folder.get(a, DATA) / a) if a.endswith(".json") else a for a in argv]
+    for fmt, suffix in (("text", ".txt"), ("machine", ".json")):
+        assert main(paths + ["--format", fmt]) == code
+        assert capsys.readouterr() == (golden_path(argv, suffix).read_text(), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpers", "--surface", "x2y3z6_surface.json", "--arc", "arc_t6_t6_t5.json",
+         "--n-max", "2"],
+        ["nash", "--surface", "cusp_surface.json", "--arc", "cusp_arc.json", "--trace"],
+        ["contact", "--resolution", "x2y3z6_resolution.json", "--m", "5", "--m-max", "5"],
+        ["bounds", "--resolution", "x2y3z6_resolution.json", "--samples", "20"],
+    ],
+    ids=["qpers", "nash", "contact", "bounds"],
+)
+def test_only_the_chosen_format_is_rendered(argv, monkeypatch, capsys):
+    calls = []
+
+    def spy(value, keep_unit_den=False):
+        calls.append(keep_unit_den)
+        return render.format_rational(value, keep_unit_den)
+
+    monkeypatch.setattr(cli, "format_rational", spy)
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--format", "machine"]) == 0
+    assert calls and all(calls)
+    calls.clear()
+    assert main(argv + ["--format", "text"]) == 0
+    assert calls and not any(calls)
+    capsys.readouterr()
+
+
 def test_verify_all_output_is_pinned(capsys):
-    assert main(["verify", "all", "--format", "machine"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out == (GOLDEN / "verify-all.json").read_text()
+    for fmt, suffix in (("text", ".txt"), ("machine", ".json")):
+        assert main(["verify", "all", "--format", fmt]) == 0
+        assert capsys.readouterr() == ((GOLDEN / f"verify-all{suffix}").read_text(), "")
 
 
 def source_env() -> dict[str, str]:
