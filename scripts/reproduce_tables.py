@@ -7,13 +7,15 @@ envelope, fat components at odd contact levels, and the exact bounds with
 seeded samples.  Everything is exact; the script has no randomness beyond
 the stated seeds.  A refused input ends as in the ``arcinv`` command line:
 exit code 4 for an exhausted budget or search box, 3 for a violated
-precondition, and 141 when the reader of standard output closes it.
+precondition, and 141 when the reader of standard output closes it.  A
+recomputed number that breaks its claim (the grid against the closed form,
+or an order at an odd level that is not above 1) ends in exit code 5.
 """
 
 import argparse
 import sys
 
-from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION, stdout_closed
+from arcinv.cli import EXIT_INCONCLUSIVE, EXIT_PRECONDITION, EXIT_VERIFY_FAILED, stdout_closed
 from arcinv.contact import (
     MAX_SAMPLES,
     DeltaCheck,
@@ -37,6 +39,10 @@ from arcinv.verify import (
 )
 
 
+class Mismatch(Exception):
+    """A recomputed number breaks the claim it is printed for."""
+
+
 def grid_table(span: int) -> None:
     data = x2y3z6_resolution()
     print(f"normalized orders r_bar(a, b) for 1 <= a + b <= {span}")
@@ -49,7 +55,9 @@ def grid_table(span: int) -> None:
                 cells.append("")
                 continue
             value = rbar_of_multiindex(data, (a, b))
-            assert value == x2y3z6_grid_value(a, b)
+            if value != (want := x2y3z6_grid_value(a, b)):
+                raise Mismatch(f"r_bar({a}, {b}) = {format_rational(value)}, "
+                               f"closed form {format_rational(want)}")
             cells.append(format_rational(value))
         print(f"{a:>3} " + "".join(f"{c:>8}" for c in cells))
 
@@ -70,7 +78,8 @@ def odd_levels(levels) -> None:
     for n in levels:
         components = fat_components(data, n, n)
         values = [rbar_of_multiindex(data, l) for l in components]
-        assert all(v > 1 for v in values)
+        if not all(v > 1 for v in values):
+            raise Mismatch(f"m = {n}: a component has normalized order <= 1")
         row = ", ".join(
             f"{format_multiindex(l)} -> {format_rational(v)}"
             for l, v in zip(components, values)
@@ -130,6 +139,9 @@ def main() -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}")
         return EXIT_PRECONDITION
+    except Mismatch as exc:
+        print(f"verification failed: {exc}")
+        return EXIT_VERIFY_FAILED
     return 0
 
 

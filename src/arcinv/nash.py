@@ -223,11 +223,11 @@ def nash_sequence(
     if max_steps is not None and max_steps < 1:
         raise PreconditionError("the step budget must be positive")
     state = init_directed(surface, arc)
+    budget = max_steps if max_steps is not None else default_budget(surface, arc)
     # f pulls back to zero, so the derivatives alone decide an infinite order.
     derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
     if derivatives.ord_along_arc(arc) == math.inf:
-        return NashReport(state.multiplicity, None, True, 0, ())
-    budget = max_steps if max_steps is not None else default_budget(surface, arc)
+        return NashReport(state.multiplicity, None, True, budget, ())
     m0 = state.multiplicity
     runs: list[BlowupRecord] = []
     rho: int | None = None

@@ -10,12 +10,19 @@ on hand-verifiable arcs.
 Checks compare values produced by independent routes (blow-up engine versus
 differential presentation versus resolution data), so a pass is evidence of
 correctness rather than of self-consistency of a single code path.
+
+Every check follows one contract.  Its body returns ``(details, failures)``,
+two lists of lines, and ``_check`` turns them into a ``CheckResult``: the
+check passes if and only if it has no failure lines, and the failure lines
+come after the details.  ``_check`` also files the check in its suite, so a
+suite runs its checks, and prints them, in the order they are defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Callable
 
 from .arcs import Arc, Hypersurface, MonomialParametrization, monomial_arc, sample_binomial_arc
@@ -44,6 +51,24 @@ class CheckResult:
     label: str
     passed: bool
     details: tuple[str, ...] = ()
+
+
+SUITES: dict[str, list[Callable[[], CheckResult]]] = {"x2y3z6": [], "corpus": []}
+
+
+def _check(suite: str, ident: str, label: str):
+    """File a body returning ``(details, failures)`` as a check of ``suite``."""
+
+    def decorate(body: Callable[[], tuple[list[str], list[str]]]) -> Callable[[], CheckResult]:
+        @wraps(body)
+        def check() -> CheckResult:
+            details, failures = body()
+            return CheckResult(ident, label, not failures, tuple(details + failures))
+
+        SUITES[suite].append(check)
+        return check
+
+    return decorate
 
 
 XYZ = ("x", "y", "z")
@@ -95,20 +120,13 @@ def x2y3z6_grid_value(alpha: int, beta: int) -> Fraction:
     return numerator / (2 * alpha + 3 * beta)
 
 
-def cusp_surface() -> Hypersurface:
-    return Hypersurface(Polynomial(("x", "y"), {(2, 0): 1, (0, 3): -1}))
-
-
-def node_surface() -> Hypersurface:
-    return Hypersurface(Polynomial(("x", "y"), {(1, 1): 1}))
-
-
 def corpus() -> list[tuple[str, Hypersurface, Arc]]:
     """Hand-verifiable (surface, arc) pairs used by the identity checks."""
     surface_x2y3z6 = x2y3z6_surface()
     return [
-        ("cusp t^3,t^2", cusp_surface(), monomial_arc((3, 2))),
-        ("node t,0", node_surface(), monomial_arc((1, None))),
+        ("cusp t^3,t^2", Hypersurface(Polynomial(("x", "y"), {(2, 0): 1, (0, 3): -1})),
+         monomial_arc((3, 2))),
+        ("node t,0", Hypersurface(Polynomial(("x", "y"), {(1, 1): 1})), monomial_arc((1, None))),
         ("x2y3-z6 t^3,t^2,t^2", surface_x2y3z6, monomial_arc((3, 2, 2))),
         ("x2y3-z6 t^6,t^6,t^5", surface_x2y3z6, monomial_arc((6, 6, 5))),
     ]
@@ -147,7 +165,8 @@ def sampled_arc(alpha: int, beta: int, seed: int) -> Arc:
     )
 
 
-def check_center_order() -> CheckResult:
+@_check("x2y3z6", "center-order", "order at the center equals 1 by all three routes")
+def check_center_order():
     """Order 1 at the center by three independent routes."""
     details = []
     from_resolution = hironaka_order(x2y3z6_resolution())
@@ -156,16 +175,14 @@ def check_center_order() -> CheckResult:
     details.append(f"differential presentation: {format_rational(from_diff)}")
     from_hand = x2y3z6_presentation().ord_at_center()
     details.append(f"hand presentation: {format_rational(from_hand)}")
-    passed = from_resolution == from_diff == from_hand == 1
-    return CheckResult(
-        "center-order",
-        "order at the center equals 1 by all three routes",
-        passed,
-        tuple(details),
-    )
+    if from_resolution == from_diff == from_hand == 1:
+        return details, []
+    return details, ["the three routes do not all give order 1"]
 
 
-def check_rbar_grid() -> CheckResult:
+@_check("x2y3z6", "rbar-grid",
+        "normalized orders over the multi-index grid match the closed form")
+def check_rbar_grid():
     """Normalized orders match min{3a+3b, 2a+4b, (6/5)(2a+3b)} / (2a+3b)."""
     data = x2y3z6_resolution()
     failures = []
@@ -177,16 +194,11 @@ def check_rbar_grid() -> CheckResult:
                 f"(a,b)=({alpha},{beta}): got {format_rational(got)}, "
                 f"want {format_rational(want)}"
             )
-    details = [f"{len(GRID)} grid points with 1 <= a+b <= {GRID_SPAN}"] + failures
-    return CheckResult(
-        "rbar-grid",
-        "normalized orders over the multi-index grid match the closed form",
-        not failures,
-        tuple(details),
-    )
+    return [f"{len(GRID)} grid points with 1 <= a+b <= {GRID_SPAN}"], failures
 
 
-def check_odd_levels() -> CheckResult:
+@_check("x2y3z6", "odd-levels", "odd contact levels have all orders > 1 and realize 1 + 1/n")
+def check_odd_levels():
     """At odd contact levels n = 2m+1 the component (m-1, 1) realizes 1 + 1/n."""
     data = x2y3z6_resolution()
     failures = []
@@ -212,15 +224,12 @@ def check_odd_levels() -> CheckResult:
                 f"n={n}: component {format_multiindex(special)} has "
                 f"{format_rational(values[special])}, want 1 + 1/{n}"
             )
-    return CheckResult(
-        "odd-levels",
-        "odd contact levels have all orders > 1 and realize 1 + 1/n",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_delta_multiples() -> CheckResult:
+@_check("x2y3z6", "delta-multiples",
+        "delta at multiples of the divisor multiplicities equals the order")
+def check_delta_multiples():
     """delta at every multiple of a divisor multiplicity equals the order 1."""
     data = x2y3z6_resolution()
     order = hironaka_order(data)
@@ -233,16 +242,12 @@ def check_delta_multiples() -> CheckResult:
                 failures.append(
                     f"delta_{n * c_i} = {format_rational(value)} != {format_rational(order)}"
                 )
-    details = [f"checked m = n*c_i for n = 1..{n_max}, c_i in (2, 3)"] + failures
-    return CheckResult(
-        "delta-multiples",
-        "delta at multiples of the divisor multiplicities equals the order",
-        not failures,
-        tuple(details),
-    )
+    return [f"checked m = n*c_i for n = 1..{n_max}, c_i in (2, 3)"], failures
 
 
-def check_delta_envelope() -> CheckResult:
+@_check("x2y3z6", "delta-envelope",
+        "delta_m lies in [order, order*(1 + c_max/m)] and delta_13 = 14/13 > 1")
+def check_delta_envelope():
     """delta_m stays in [1, 1 + 3/m] for m <= 60, with delta_13 = 14/13."""
     m_max = 60
     result = delta_limit_check(x2y3z6_resolution(), m_max)
@@ -256,30 +261,22 @@ def check_delta_envelope() -> CheckResult:
         failures.append(f"delta_13 = {format_rational(pinned.value)}, want 14/13")
     if not pinned.value > 1:
         failures.append("delta_13 is not > 1")
-    details = [
+    return [
         f"order = {format_rational(result.order)}, checked m = 1..{m_max}",
         f"delta_13 = {format_rational(pinned.value)}",
-    ] + failures
-    return CheckResult(
-        "delta-envelope",
-        "delta_m lies in [order, order*(1 + c_max/m)] and delta_13 = 14/13 > 1",
-        result.passed and not failures,
-        tuple(details),
-    )
+    ], failures
 
 
-def _containment_datasets() -> list[tuple[str, ResolutionData]]:
-    return [
-        ("weighted reference data", x2y3z6_resolution()),
-        ("single generator a=(1,3), b=1, c=(1,1)", ResolutionData.of((1, 1), [((1, 3), 1)])),
-    ]
-
-
-def check_values_containment() -> CheckResult:
+@_check("x2y3z6", "values-containment",
+        "sampled normalized orders respect the exact bounds; extrema attained")
+def check_values_containment():
     """500 sampled normalized orders (seed 0, box 8) sit between the exact bounds."""
     failures = []
     details = []
-    for name, data in _containment_datasets():
+    for name, data in [
+        ("weighted reference data", x2y3z6_resolution()),
+        ("single generator a=(1,3), b=1, c=(1,1)", ResolutionData.of((1, 1), [((1, 3), 1)])),
+    ]:
         lower, upper = values_bounds(data)
         drawn = sample_multiindices(data, count=500, bound=8, seed=0)
         bad = outside_bounds(data, drawn)
@@ -298,15 +295,12 @@ def check_values_containment() -> CheckResult:
         failures.append("supremum 6/5 not attained at (1, 1)")
     if extrema.minimum != 1:
         failures.append("infimum 1 not attained on the grid")
-    return CheckResult(
-        "values-containment",
-        "sampled normalized orders respect the exact bounds; extrema attained",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_divisorial_minimum() -> CheckResult:
+@_check("x2y3z6", "divisorial-minimum",
+        "seeded arcs attain normalized order 1 and never go below it")
+def check_divisorial_minimum():
     """Over seeded arcs the minimum normalized order is 1, never less.
 
     Also cross-checks every sampled arc against the closed form from the
@@ -348,15 +342,39 @@ def check_divisorial_minimum() -> CheckResult:
         + ", ".join(format_multiindex(t) for t in attained),
         f"exceptional seeds: {len(exceptional)}",
     ]
-    return CheckResult(
-        "divisorial-minimum",
-        "seeded arcs attain normalized order 1 and never go below it",
-        not failures and not exceptional,
-        tuple(details + failures + exceptional),
-    )
+    return details, failures + exceptional
 
 
-def check_floor_corpus() -> CheckResult:
+@_check("x2y3z6", "presentation-crosscheck",
+        "arc orders agree between the differential and the hand presentation")
+def check_presentation_crosscheck():
+    """The differential and the hand presentation give equal arc orders."""
+    surface = x2y3z6_surface()
+    diff_algebra = diff_saturate(surface)
+    hand = x2y3z6_presentation()
+    failures = []
+    details = []
+    arcs: list[tuple[str, Arc]] = [
+        ("t^3,t^2,t^2", monomial_arc((3, 2, 2))),
+        ("t^6,t^6,t^5", monomial_arc((6, 6, 5))),
+    ]
+    for i in range(8):
+        alpha, beta = SAMPLE_TYPES[i % len(SAMPLE_TYPES)]
+        arcs.append((f"sample ({alpha},{beta},{i})", sampled_arc(alpha, beta, i)))
+    for name, arc in arcs:
+        a = diff_algebra.ord_along_arc(arc)
+        b = hand.ord_along_arc(arc)
+        details.append(
+            f"{name}: differential {format_rational(a)}, hand {format_rational(b)}"
+        )
+        if a != b:
+            failures.append(f"{name}: presentations disagree")
+    return details, failures
+
+
+@_check("corpus", "floor-identity",
+        "persistance equals floor(r) on the corpus and on sampled arcs")
+def check_floor_corpus():
     """Blow-up persistance equals floor of the rational invariant."""
     failures = []
     details = []
@@ -383,15 +401,11 @@ def check_floor_corpus() -> CheckResult:
                 f"floor(r) = {row.expected}"
             )
     details.append(f"{len(samples)} seeded sampled arcs checked")
-    return CheckResult(
-        "floor-identity",
-        "persistance equals floor(r) on the corpus and on sampled arcs",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_limit_corpus() -> CheckResult:
+@_check("corpus", "limit-identity", "rho of the ramified arcs equals floor(n*r) for every n")
+def check_limit_corpus():
     """Ramified persistances follow floor(n*r) for n up to 20."""
     failures = []
     details = []
@@ -407,45 +421,12 @@ def check_limit_corpus() -> CheckResult:
         elif not outcome.passed:
             bad = [row.n for row in outcome.rows if not row.ok]
             failures.append(f"{name}: mismatch at n = {bad}")
-    return CheckResult(
-        "limit-identity",
-        "rho of the ramified arcs equals floor(n*r) for every n",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_presentation_crosscheck() -> CheckResult:
-    """The differential and the hand presentation give equal arc orders."""
-    surface = x2y3z6_surface()
-    diff_algebra = diff_saturate(surface)
-    hand = x2y3z6_presentation()
-    failures = []
-    details = []
-    arcs: list[tuple[str, Arc]] = [
-        ("t^3,t^2,t^2", monomial_arc((3, 2, 2))),
-        ("t^6,t^6,t^5", monomial_arc((6, 6, 5))),
-    ]
-    for i in range(8):
-        alpha, beta = SAMPLE_TYPES[i % len(SAMPLE_TYPES)]
-        arcs.append((f"sample ({alpha},{beta},{i})", sampled_arc(alpha, beta, i)))
-    for name, arc in arcs:
-        a = diff_algebra.ord_along_arc(arc)
-        b = hand.ord_along_arc(arc)
-        details.append(
-            f"{name}: differential {format_rational(a)}, hand {format_rational(b)}"
-        )
-        if a != b:
-            failures.append(f"{name}: presentations disagree")
-    return CheckResult(
-        "presentation-crosscheck",
-        "arc orders agree between the differential and the hand presentation",
-        not failures,
-        tuple(details + failures),
-    )
-
-
-def check_tiebreak_invariance() -> CheckResult:
+@_check("corpus", "tiebreak-invariance",
+        "multiplicity sequences do not depend on the chart tie-break")
+def check_tiebreak_invariance():
     """Both chart tie-break rules give identical multiplicity sequences."""
     failures = []
     details = []
@@ -462,15 +443,12 @@ def check_tiebreak_invariance() -> CheckResult:
             )
         else:
             details.append(f"{name}: sequence {first.sequence}")
-    return CheckResult(
-        "tiebreak-invariance",
-        "multiplicity sequences do not depend on the chart tie-break",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_ramification_invariance() -> CheckResult:
+@_check("corpus", "ramification-invariance",
+        "r is homogeneous and r/nu invariant under ramification")
+def check_ramification_invariance():
     """r scales by n under t -> t^n while r/nu stays fixed."""
     failures = []
     details = []
@@ -488,15 +466,11 @@ def check_ramification_invariance() -> CheckResult:
             f"{name}: r = {format_rational(base.r)}, "
             f"r_bar = {format_rational(base.r_bar)}"
         )
-    return CheckResult(
-        "ramification-invariance",
-        "r is homogeneous and r/nu invariant under ramification",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-def check_stabilization() -> CheckResult:
+@_check("corpus", "stabilization", "multiplicity sequences stabilize at 1 on the corpus")
+def check_stabilization():
     """Extended blow-up runs reach multiplicity 1 on the corpus."""
     failures = []
     details = []
@@ -505,33 +479,9 @@ def check_stabilization() -> CheckResult:
         details.append(f"{name}: sequence {report.sequence}")
         if report.sequence[-1] != 1:
             failures.append(f"{name}: sequence did not stabilize at 1")
-    return CheckResult(
-        "stabilization",
-        "multiplicity sequences stabilize at 1 on the corpus",
-        not failures,
-        tuple(details + failures),
-    )
+    return details, failures
 
 
-SUITES: dict[str, list[Callable[[], CheckResult]]] = {
-    "x2y3z6": [
-        check_center_order,
-        check_rbar_grid,
-        check_odd_levels,
-        check_delta_multiples,
-        check_delta_envelope,
-        check_values_containment,
-        check_divisorial_minimum,
-        check_presentation_crosscheck,
-    ],
-    "corpus": [
-        check_floor_corpus,
-        check_limit_corpus,
-        check_tiebreak_invariance,
-        check_ramification_invariance,
-        check_stabilization,
-    ],
-}
 SUITES["all"] = SUITES["x2y3z6"] + SUITES["corpus"]
 
 

@@ -3,14 +3,16 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from arcinv import cli, render
+from arcinv import cli, render, verify
 from arcinv.arcs import Hypersurface, monomial_arc
 from arcinv.cli import main
 from arcinv.contact import ResolutionData
@@ -429,6 +431,49 @@ def test_verify_all_output_is_pinned(capsys):
         assert capsys.readouterr() == ((GOLDEN / f"verify-all{suffix}").read_text(), "")
 
 
+CLOSED_FORM = verify.x2y3z6_grid_value
+
+
+def off_at_1_1(alpha: int, beta: int) -> Fraction:
+    """The closed form of the grid, wrong by 1 at (a, b) = (1, 1) alone."""
+    value = CLOSED_FORM(alpha, beta)
+    return value + 1 if (alpha, beta) == (1, 1) else value
+
+
+def test_a_failing_check_prints_its_lines_and_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "x2y3z6_grid_value", off_at_1_1)
+    failure = "(a,b)=(1,1): got 6/5, want 11/5"
+    assert main(["verify", "x2y3z6"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAIL  rbar-grid: normalized orders over the multi-index grid "
+                     "match the closed form")
+    assert lines[at + 1 : at + 3] == ["      44 grid points with 1 <= a+b <= 8",
+                                      f"      {failure}"]
+    others = lines[:at] + lines[at + 3 : -1]
+    assert len(others) == 7 and all(line.startswith("PASS  ") for line in others)
+    assert lines[-1] == "7/8 checks passed in suite 'x2y3z6'"
+
+    assert main(["verify", "x2y3z6", "--format", "machine"]) == 5
+    result = json.loads(capsys.readouterr().out)
+    assert result["passed"] is False
+    failed = [check for check in result["checks"] if not check["passed"]]
+    assert [check["ident"] for check in failed] == ["rbar-grid"]
+    assert failed[0]["details"][-1] == failure
+
+
+def test_center_order_fails_when_its_routes_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "hironaka_order", lambda data: Fraction(2))
+    assert main(["verify", "x2y3z6"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAIL  center-order: order at the center equals 1 by all three routes")
+    assert lines[at + 1 : at + 5] == [
+        "      resolution data: 2",
+        "      differential presentation: 1",
+        "      hand presentation: 1",
+        "      the three routes do not all give order 1",
+    ]
+
+
 def source_env() -> dict[str, str]:
     """The environment with the checkout's ``src/`` first on PYTHONPATH."""
     env = dict(os.environ)
@@ -449,6 +494,20 @@ def test_reproduce_tables_output_is_pinned():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == (GOLDEN / "reproduce-tables.txt").read_text()
+
+
+def test_reproduce_tables_exits_5_when_the_grid_breaks_its_closed_form(
+    monkeypatch, capsys
+):
+    script = str(DATA.parent / "scripts" / "reproduce_tables.py")
+    monkeypatch.setattr(sys, "argv", [script])
+    monkeypatch.setattr(verify, "x2y3z6_grid_value", off_at_1_1)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(script, run_name="__main__")
+    assert exit_.value.code == 5
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("verification failed: r_bar(1, 1) = 6/5, closed form 11/5\n")
 
 
 def test_reproduce_tables_refuses_like_the_command_line():

@@ -66,6 +66,8 @@ def test_trapped_arc_reports_infinite_persistance():
     assert report.infinite
     assert report.rho is None
     assert report.status == "infinite"
+    assert report.budget == default_budget(DOUBLE_PLANE, arc) == 16
+    assert nash_sequence(DOUBLE_PLANE, arc, max_steps=7).budget == 7
     assert persistance(DOUBLE_PLANE, arc) == math.inf
 
 
