@@ -41,6 +41,17 @@ That proves the check at every step: a run of K center-0 steps in chart u
 maps x^e to x^e' with gamma'^e' = gamma^e / gamma_u^(K m), so
 F(gamma) = gamma_u^(K m) F'(gamma') and F'(gamma') is zero iff F(gamma) was;
 only translation changes coefficients.
+
+An arc is trapped in the maximal multiplicity locus, and never drops, iff
+every partial of f of order 1 to b - 1 pulls back to zero along it: the
+differential presentation less f (``rees.diff_saturate``) has infinite order
+along the arc.  ``nash_sequence`` first pulls back the first partials d_j f,
+one ``compose_order`` each.  A nonzero d_j f is a nonzero scalar multiple of
+a weight-(b - 1) generator of that presentation, so if one pulls back to a
+nonzero series the order is finite and the arc is not trapped.  Only when
+every d_j f pulls back to zero is the whole presentation pulled back.  With
+P "every d_j f pulls back to zero" and Q "the presentation has infinite
+order along the arc", Q implies P, so P and Q is the same predicate as Q.
 """
 
 from __future__ import annotations
@@ -215,19 +226,26 @@ def nash_sequence(
     Stops at the first multiplicity below m_0 (that step index is the
     persistance rho) or when the budget runs out.  Arcs trapped in the
     maximal multiplicity locus never drop; that situation is detected up
-    front through the differential presentation and reported as infinite.
-    With ``stop_at_drop=False`` the iteration continues past the drop until
-    the sequence stabilizes at 1, which is useful for diagnostics.  Membership
-    is checked after translating steps and at the end (module docstring).
+    front and reported as infinite: a first partial of f that pulls back to
+    a nonzero series settles that the arc is not trapped, and only when all
+    of them pull back to zero does the differential presentation decide; the
+    predicate is the same (module docstring).  With ``stop_at_drop=False``
+    the iteration continues past the drop until the sequence stabilizes at
+    1, which is useful for diagnostics.  Membership is checked after
+    translating steps and at the end (module docstring).
     """
     if max_steps is not None and max_steps < 1:
         raise PreconditionError("the step budget must be positive")
     state = init_directed(surface, arc)
     budget = max_steps if max_steps is not None else default_budget(surface, arc)
-    # f pulls back to zero, so the derivatives alone decide an infinite order.
-    derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
-    if derivatives.ord_along_arc(arc) == math.inf:
-        return NashReport(state.multiplicity, None, True, budget, ())
+    # f pulls back to zero, so the derivatives alone decide an infinite order;
+    # a first partial with a nonzero pullback already proves it finite.
+    f, gamma = surface.f, arc.components
+    firsts = (f.partial_derivative(j).compose_order(gamma) for j in range(len(gamma)))
+    if all(order == math.inf for order in firsts):
+        derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
+        if derivatives.ord_along_arc(arc) == math.inf:
+            return NashReport(state.multiplicity, None, True, budget, ())
     m0 = state.multiplicity
     runs: list[BlowupRecord] = []
     rho: int | None = None

@@ -375,9 +375,12 @@ class TRational:
         """self - c as (num - c*den)/den, taking no gcd.
 
         The pair is canonical as it stands: den is unchanged, and
-        gcd(num - c*den, den) = gcd(num, den) = 1.
+        gcd(num - c*den, den) = gcd(num, den) = 1.  Subtracting 0 returns self.
         """
-        num = self.num + self.den.scale(-exact(scalar))
+        c = exact(scalar)
+        if not c:
+            return self
+        num = self.num + self.den.scale(-c)
         return TRational._canonical(num, self.den) if num else TRational.zero()
 
     def __mul__(self, other: TRational) -> TRational:
@@ -425,17 +428,22 @@ class TRational:
         """Square-and-multiply with exactly floor(log2 k) squarings for k >= 1.
 
         The base is squared only while bits of k remain, so no power is built
-        and then dropped.
+        and then dropped; the result starts as the power at the lowest set bit
+        of k, so it is never multiplied by one.
         """
         if not is_exponent(exponent):
             raise ValueError(f"exponent {exponent!r} is not an integer >= 0")
-        result, base, e = TRational.one(), self, exponent
+        if not exponent:
+            return TRational.one()
+        base, e = self, exponent
+        while not e & 1:
+            base, e = base * base, e >> 1
+        result, e = base, e >> 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if e:
-                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:

@@ -22,6 +22,7 @@ from arcinv.nash import (
 )
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
+from arcinv.rees import ReesAlgebra, diff_saturate
 from arcinv.tseries import TPoly, TRational
 from arcinv.verify import sampled_arc, x2y3z6_parametrization
 
@@ -69,6 +70,30 @@ def test_trapped_arc_reports_infinite_persistance():
     assert report.budget == default_budget(DOUBLE_PLANE, arc) == 16
     assert nash_sequence(DOUBLE_PLANE, arc, max_steps=7).budget == 7
     assert persistance(DOUBLE_PLANE, arc) == math.inf
+
+
+def test_an_arc_killing_every_first_partial_is_decided_by_the_presentation():
+    """(0, t, 0) is in the singular locus of QUINTIC, but d^2f/dx^2 = 2y^3 pulls back to 2t^3."""
+    arc = monomial_arc((None, 1, None))
+    for j in range(3):
+        assert QUINTIC.f.partial_derivative(j).compose_order(arc.components) == math.inf
+    report = nash_sequence(QUINTIC, arc)
+    assert not report.infinite
+    assert (report.rho, report.sequence) == (1, (5, 2))
+
+
+def test_a_nonvanishing_first_partial_skips_the_presentation(monkeypatch):
+    calls = []
+    derive = Polynomial.partial_derivative
+
+    def counting(self, var):
+        calls.append(var)
+        return derive(self, var)
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", counting)
+    report = nash_sequence(QUINTIC, monomial_arc((3, 2, 2)))
+    assert report.sequence == (5, 5, 2)
+    assert len(calls) <= len(QUINTIC.variables)
 
 
 def test_budget_exhaustion(monkeypatch):
@@ -169,6 +194,48 @@ def _on_quintic(u, v):
 # 9/2, so under ramification some drops fall inside a run of center-0 steps.
 XY3 = Hypersurface(Polynomial(XYZ, {(1, 3, 0): 1, (0, 0, 3): -1}))
 XY3_ROWS = [(3, 0, 1), (0, 1, 1)]
+
+
+# Arcs on the file's surfaces from two series u, v, either of which may be
+# drawn zero: parametrizations, and coordinate lines inside the surfaces.
+# DOUBLE_PLANE's line and XY3's x-axis are trapped; QUINTIC's lines kill
+# every first partial but not the presentation.
+ZERO = TRational.zero()
+ARC_FAMILIES = [
+    (CUSP, lambda u, v: (u**3, u**2)),
+    (NODE, lambda u, v: (u, ZERO)),
+    (NODE, lambda u, v: (ZERO, v)),
+    (DOUBLE_PLANE, lambda u, v: (ZERO, u)),
+    (QUINTIC, lambda u, v: (u**3, v**2, u * v)),
+    (QUINTIC, lambda u, v: (ZERO, u, ZERO)),
+    (QUINTIC, lambda u, v: (u, ZERO, ZERO)),
+    (XY3, lambda u, v: (u**3, v, u * v)),
+    (XY3, lambda u, v: (u, ZERO, ZERO)),
+    (XY3, lambda u, v: (ZERO, u, ZERO)),
+]
+
+series = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda order, coeffs, c: TRational(
+            TPoly({order + k: a for k, a in enumerate(coeffs)}), TPoly({0: 1, 1: c})
+        ),
+        st.integers(1, 2),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda cs: cs[0]),
+        st.integers(-2, 2),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ARC_FAMILIES), series, series)
+def test_first_partials_decide_trapped_arcs_as_the_presentation_does(family, u, v):
+    surface, components = family
+    arc = Arc(components(u, v))
+    assume(any(arc.components))
+    assert arc.lies_on(surface)
+    derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
+    assert nash_sequence(surface, arc).infinite == (derivatives.ord_along_arc(arc) == math.inf)
 
 
 # Arcs whose runs mix center-0 and translating steps in s and coordinate
