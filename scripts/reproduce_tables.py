@@ -63,12 +63,10 @@ def grid_table(span: int) -> None:
 
 
 def delta_table(table: DeltaCheck) -> None:
-    data = x2y3z6_resolution()
     m_max = len(table.rows)
     print(f"\ndelta_m for m = 1..{m_max} (order at the center: {format_rational(table.order)})")
     for row in table.rows:
-        components = fat_components(data, row.m, row.m)
-        rendered = ", ".join(format_multiindex(l) for l in components)
+        rendered = ", ".join(format_multiindex(l) for l in row.components)
         print(f"  m = {row.m:>2}: delta = {format_rational(row.value):>6}   components {rendered}")
 
 
@@ -124,9 +122,7 @@ def main() -> int:
         if args.span < 1:
             raise PreconditionError(f"the grid span must be at least 1, not {args.span}")
         if (args.span + 1) ** 2 > MAX_SAMPLES:
-            raise BudgetExhausted(
-                MAX_SAMPLES, f"the grid of span {args.span} has over {MAX_SAMPLES} cells"
-            )
+            raise BudgetExhausted(f"the grid of span {args.span} has over {MAX_SAMPLES} cells")
         deltas = delta_limit_check(x2y3z6_resolution(), args.m_max)
         grid_table(args.span)
         delta_table(deltas)

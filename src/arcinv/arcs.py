@@ -48,9 +48,7 @@ class Hypersurface:
     @property
     def multiplicity(self) -> int:
         """Multiplicity at the origin: the vanishing order of f there."""
-        order = self.f.order_at_origin()
-        assert order != math.inf
-        return int(order)
+        return int(self.f.order_at_origin())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Hypersurface):

@@ -141,10 +141,8 @@ def _cmd_nash(job: JobSpec) -> Outcome:
     surface, arc = _load_pair(job)
     budget = job.budget if job.budget is not None else default_budget(surface, arc)
     if budget > MAX_NASH_STEPS:
-        raise BudgetExhausted(
-            MAX_NASH_STEPS, f"a step budget of {budget} is over {MAX_NASH_STEPS}"
-        )
-    report = nash_sequence(surface, arc, max_steps=job.budget)
+        raise BudgetExhausted(f"a step budget of {budget} is over {MAX_NASH_STEPS}")
+    report = nash_sequence(surface, arc, max_steps=budget)
     result = {"command": "nash", "sequence": report.sequence, "rho": report.rho,
               "status": report.status, "budget": report.budget}
     if job.trace:

@@ -44,7 +44,7 @@ MAX_SAMPLES = 10**5
 
 
 def _over_box_limit(search: str) -> BudgetExhausted:
-    return BudgetExhausted(MAX_BOX_POINTS, f"{search} has over {MAX_BOX_POINTS} points")
+    return BudgetExhausted(f"{search} has over {MAX_BOX_POINTS} points")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -160,6 +160,16 @@ def rbar_of_multiindex(data: ResolutionData, l: Sequence[int]) -> Fraction | flo
     return numerator / denominator
 
 
+def _valuation(data: ResolutionData, l: MultiIndex) -> tuple[int, ...]:
+    """The coordinate valuations l . row of a multi-index, one per coordinate."""
+    return tuple(_dot(l, row) for row in data.coord_val)
+
+
+def _at_least(v1: Sequence[int], v2: Sequence[int]) -> bool:
+    """The containment rule: every entry of v1 is at least that of v2."""
+    return all(a >= b for a, b in zip(v1, v2))
+
+
 def dominates(data: ResolutionData, l1: Sequence[int], l2: Sequence[int]) -> bool:
     """Containment test between the divisorial sets of two multi-indices.
 
@@ -171,9 +181,10 @@ def dominates(data: ResolutionData, l1: Sequence[int], l2: Sequence[int]) -> boo
         raise PreconditionError(
             "domination needs the coordinate valuation matrix; none was supplied"
         )
-    l1 = _check_multiindex(data, l1)
-    l2 = _check_multiindex(data, l2)
-    return all(_dot(l1, row) >= _dot(l2, row) for row in data.coord_val)
+    return _at_least(
+        _valuation(data, _check_multiindex(data, l1)),
+        _valuation(data, _check_multiindex(data, l2)),
+    )
 
 
 def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]:
@@ -183,9 +194,12 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     m for toric-style data.  The search scans the box l_i <= bound.  Every
     minimal element lies in the slab m <= l . c < m + c_i, whose entries are
     at most m, so any bound >= m gives the same answer; and the slab is never
-    empty, since ceil(m / c_i) * e_i is in it for every c_i > 0.  The output
-    is deduplicated (equal valuation vectors describe the same divisorial
-    set) and sorted.  A box over ``MAX_BOX_POINTS`` raises ``BudgetExhausted``.
+    empty, since ceil(m / c_i) * e_i is in it for every c_i > 0.  Equal
+    valuation vectors describe the same divisorial set, so each vector keeps
+    one representative: the lexicographically least multi-index with it,
+    which is the first one the scan meets, as ``itertools.product`` walks the
+    box in lexicographic order.  The output is sorted.  A box over
+    ``MAX_BOX_POINTS`` raises ``BudgetExhausted``.
     """
     if data.coord_val is None:
         raise PreconditionError(
@@ -207,39 +221,18 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     # A multi-index with l_i >= 1 and contact still >= m after removing one
     # copy of divisor i is dominated by that smaller index, so minimal
     # elements all live in the slab m <= l . c < m + c_i along the support.
-    candidates: list[MultiIndex] = []
-    for l in itertools.product(range(bound + 1), repeat=n):
-        if not any(l):
-            continue
-        contact = _dot(l, data.c)
-        if contact < m:
-            continue
-        if any(l[i] and contact - data.c[i] >= m for i in range(n)):
-            continue
-        candidates.append(l)
-
-    valuation = {
-        l: tuple(_dot(l, row) for row in data.coord_val) for l in candidates
-    }
+    # The zero index has contact 0 < m, so the filter drops it too.
     by_valuation: dict[tuple[int, ...], MultiIndex] = {}
-    for l in sorted(candidates):
-        by_valuation.setdefault(valuation[l], l)
-    representatives = sorted(by_valuation.values())
-
-    minimal: list[MultiIndex] = []
-    for l in representatives:
-        vl = valuation[l]
-        strictly_dominated = False
-        for other in representatives:
-            if other == l:
-                continue
-            vo = valuation[other]
-            if vl != vo and all(a >= b for a, b in zip(vl, vo)):
-                strictly_dominated = True
-                break
-        if not strictly_dominated:
-            minimal.append(l)
-    return minimal
+    for l in itertools.product(range(bound + 1), repeat=n):
+        contact = _dot(l, data.c)
+        if contact < m or any(l[i] and contact - data.c[i] >= m for i in range(n)):
+            continue
+        by_valuation.setdefault(_valuation(data, l), l)
+    return sorted(
+        l
+        for v, l in by_valuation.items()
+        if not any(w != v and _at_least(v, w) for w in by_valuation)
+    )
 
 
 def delta(data: ResolutionData, m: int) -> Fraction | float:
@@ -252,6 +245,7 @@ class DeltaRow:
     m: int
     value: Fraction | float
     ok: bool
+    components: tuple[MultiIndex, ...]
 
 
 @dataclass(frozen=True)
@@ -266,8 +260,9 @@ def delta_limit_check(data: ResolutionData, m_max: int) -> DeltaCheck:
 
     Every row checks ord <= delta_m <= ord * (1 + c_max / m) where c_max is
     the largest maximal ideal multiplicity; the upper envelope comes from
-    rounding the contact level up to a multiple of a single divisor.  Boxes
-    over ``MAX_BOX_POINTS`` in all raise ``BudgetExhausted`` before level 1.
+    rounding the contact level up to a multiple of a single divisor.  Each
+    row keeps the fat components its delta_m is read from.  Boxes over
+    ``MAX_BOX_POINTS`` in all raise ``BudgetExhausted`` before level 1.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -278,9 +273,10 @@ def delta_limit_check(data: ResolutionData, m_max: int) -> DeltaCheck:
     c_max = max(data.c)
     rows: list[DeltaRow] = []
     for m in range(1, m_max + 1):
-        value = delta(data, m)
+        components = tuple(fat_components(data, m, m))
+        value = min(rbar_of_multiindex(data, l) for l in components)
         ok = order <= value <= order * (1 + Fraction(c_max, m))
-        rows.append(DeltaRow(m, value, ok))
+        rows.append(DeltaRow(m, value, ok, components))
     return DeltaCheck(order, tuple(rows), all(row.ok for row in rows))
 
 
@@ -288,20 +284,13 @@ def hironaka_order(data: ResolutionData) -> Fraction | float:
     """Order of the presentation at the center, from divisorial data.
 
     The minimum over supported divisors of (min over generators of d_i / w)
-    divided by c_i, where a zero c_i contributes infinity.
+    divided by c_i, where a zero c_i contributes infinity.  The support is
+    never empty (``ResolutionData`` checks it), so neither is the minimum.
     """
-    best: Fraction | float | None = None
-    for i in data.contact_support:
-        numerator = min(Fraction(d[i], w) for d, w in data.gens)
-        value: Fraction | float
-        if data.c[i] == 0:
-            value = math.inf
-        else:
-            value = numerator / data.c[i]
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+    return min(
+        min(Fraction(d[i], w) for d, w in data.gens) / data.c[i] if data.c[i] else math.inf
+        for i in data.contact_support
+    )
 
 
 def values_bounds(data: ResolutionData) -> tuple[Fraction | float, Fraction | float]:
@@ -338,7 +327,7 @@ def sample_multiindices(
     if count < 1 or bound < 1:
         raise PreconditionError("need a positive sample count and box bound")
     if count > MAX_SAMPLES:
-        raise BudgetExhausted(MAX_SAMPLES, f"{count} samples is over {MAX_SAMPLES}")
+        raise BudgetExhausted(f"{count} samples is over {MAX_SAMPLES}")
     rng = random.Random(seed)
     samples: list[MultiIndex] = []
     while len(samples) < count:

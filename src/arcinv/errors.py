@@ -22,7 +22,3 @@ class DocumentError(ValueError):
 
 class BudgetExhausted(RuntimeError):
     """An iteration finished its step budget without reaching a verdict."""
-
-    def __init__(self, budget: int, message: str | None = None):
-        self.budget = budget
-        super().__init__(message or f"step budget {budget} exhausted")

@@ -198,8 +198,6 @@ def blowup_step(
     if any(center):
         transform = transform.translate(center)
         lifted = tuple(comp - value for comp, value in zip(lifted, center))
-    for comp in lifted:
-        assert comp.t_order() >= 1, "component not recentered"
 
     multiplicity = transform.order_at_origin()
     if multiplicity == math.inf or multiplicity < 1:
@@ -278,5 +276,5 @@ def persistance(surface: Hypersurface, arc: Arc) -> int | float:
     if report.infinite:
         return math.inf
     if report.rho is None:
-        raise BudgetExhausted(report.budget, "multiplicity did not drop within budget")
+        raise BudgetExhausted("multiplicity did not drop within budget")
     return report.rho

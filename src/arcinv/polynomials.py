@@ -270,11 +270,12 @@ class Polynomial:
         zero value among its factors starts c_e prod_i l_i^(e_i) t^(e . o);
         with low the least such e . o, the coefficient of t^low in the
         pullback is S = sum over e . o = low of c_e prod_i l_i^(e_i), and all
-        else starts higher: S != 0 proves the order is low.  S is tested over
-        the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i in
-        S.  Only when S = 0 (a cancellation, or a zero pullback) is the order
-        read from the full numerator: by ``_evaluated_order`` when every value
-        is dense and not all are monomials, else from ``_compose_parts``.
+        else starts higher: S != 0 proves the order is low.  With no such
+        term, every term has a zero factor, so the pullback is 0.  S is tested
+        over the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i
+        in S.  Only when S = 0 (a cancellation, or a zero pullback) is the
+        order read from the full numerator: by ``_evaluated_order`` when every
+        value is dense and not all are monomials, else from ``_compose_parts``.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
@@ -292,6 +293,8 @@ class Polynomial:
                 low, lowest = weight, []
             if weight == low:
                 lowest.append((e, c))
+        if not lowest:
+            return math.inf
         tops = [max(column) for column in zip(*(e for e, _ in lowest))]
         total = 0
         for e, c in lowest:

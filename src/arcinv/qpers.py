@@ -98,7 +98,6 @@ def check_limit_identity(
         steps = budget * n_max
     if steps > MAX_TABLE_STEPS:
         raise BudgetExhausted(
-            MAX_TABLE_STEPS,
             f"the table up to n_max {n_max} has a step budget of {steps}, "
             f"over {MAX_TABLE_STEPS}",
         )

@@ -61,18 +61,13 @@ class ReesAlgebra:
         Requires the origin to lie in the singular locus of the presentation:
         every generator must vanish there to order at least its weight.
         """
-        best: Fraction | None = None
-        for g, w in self.generators:
-            order = g.order_at_origin()
+        orders = [(g, g.order_at_origin(), w) for g, w in self.generators]
+        for g, order, w in orders:
             if order < w:
                 raise NotInSingularLocus(
                     f"generator {g} has order {order} < weight {w} at the origin"
                 )
-            value = Fraction(int(order), w)
-            if best is None or value < best:
-                best = value
-        assert best is not None
-        return best
+        return min(Fraction(int(order), w) for _, order, w in orders)
 
     def ord_along_arc(self, arc: Arc) -> Fraction | float:
         """Order of the presentation pulled back along an arc.

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arcinv.contact
@@ -172,6 +172,27 @@ def test_fat_components_are_an_antichain(data, m):
                 )
 
 
+@st.composite
+def small_resolutions(draw):
+    """1-3 divisors, valuations 0-4 with no zero column, c the column minima."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=3))
+    assume(all(any(column) for column in zip(*rows)))
+    c = tuple(map(min, zip(*rows)))
+    assume(any(c))
+    vectors = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    gens = draw(st.lists(st.tuples(vectors, st.integers(1, 3)), min_size=1, max_size=2))
+    return ResolutionData.of(c, gens, coord_val=rows)
+
+
+@settings(deadline=None)
+@given(small_resolutions(), st.integers(1, 10))
+def test_fat_components_match_the_brute_force_on_random_data(data, m):
+    bound = m + max(data.c)
+    assume((bound + 1) ** data.num_divisors <= 3000)
+    assert fat_components(data, m, bound) == brute_fat_components(data, m, bound)
+
+
 def test_fat_components_frozen_odd_levels():
     assert fat_components(EXAMPLE, 11, 11) == [(1, 3), (4, 1)]
     assert fat_components(EXAMPLE, 13, 13) == [(2, 3), (5, 1)]
@@ -201,6 +222,7 @@ def test_delta_envelope():
     assert check.order == 1
     for row in check.rows:
         assert check.order <= row.value <= check.order * (1 + Fraction(3, row.m))
+        assert row.components == tuple(fat_components(EXAMPLE, row.m, row.m))
 
 
 def test_hironaka_order_frozen():
