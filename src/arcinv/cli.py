@@ -27,16 +27,14 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .arcs import Arc, Hypersurface
 from .contact import (
-    ResolutionData,
     delta_limit_check,
     fat_components,
-    outside_bounds,
     rbar_extrema,
     rbar_of_multiindex,
     sample_multiindices,
@@ -64,36 +62,8 @@ EXIT_BROKEN_PIPE = 141
 MAX_NASH_STEPS = 50_000
 
 
-@dataclass
-class JobSpec:
-    """Everything one invocation needs, decoupled from argv for testing."""
-
-    command: str
-    surface: Path | None = None
-    arc: Path | None = None
-    resolution: Path | None = None
-    m: int | None = None
-    m_max: int | None = None
-    n_max: int | None = None
-    budget: int | None = None
-    bound: int | None = None
-    seed: int | None = None
-    samples: int | None = None
-    trace: bool = False
-    fmt: str = "text"
-    suite: str = "all"
-
-
-def _load_pair(job: JobSpec) -> tuple[Hypersurface, Arc]:
-    if job.surface is None or job.arc is None:
-        raise DocumentError("this command needs --surface and --arc")
+def _load_pair(job: argparse.Namespace) -> tuple[Hypersurface, Arc]:
     return load_hypersurface(job.surface), load_arc(job.arc)
-
-
-def _load_resolution(job: JobSpec) -> ResolutionData:
-    if job.resolution is None:
-        raise DocumentError("this command needs --resolution")
-    return load_resolution(job.resolution)
 
 
 # Each command returns (result, text lines, exit code).  The result is one
@@ -102,7 +72,7 @@ def _load_resolution(job: JobSpec) -> ResolutionData:
 Outcome = tuple[dict, Iterator[str], int]
 
 
-def _cmd_qpers(job: JobSpec) -> Outcome:
+def _cmd_qpers(job: argparse.Namespace) -> Outcome:
     if job.budget is not None and job.n_max is None:
         raise DocumentError("qpers --budget bounds the rows of --n-max; give both")
     surface, arc = _load_pair(job)
@@ -137,7 +107,7 @@ def _cmd_qpers(job: JobSpec) -> Outcome:
     return result, text(), code
 
 
-def _cmd_nash(job: JobSpec) -> Outcome:
+def _cmd_nash(job: argparse.Namespace) -> Outcome:
     surface, arc = _load_pair(job)
     budget = job.budget if job.budget is not None else default_budget(surface, arc)
     if budget > MAX_NASH_STEPS:
@@ -170,8 +140,8 @@ def _cmd_nash(job: JobSpec) -> Outcome:
     return result, text(), code
 
 
-def _cmd_contact(job: JobSpec) -> Outcome:
-    data = _load_resolution(job)
+def _cmd_contact(job: argparse.Namespace) -> Outcome:
+    data = load_resolution(job.resolution)
     if job.m is None and job.m_max is None:
         raise DocumentError("contact needs --m (one level) or --m-max (a table)")
     if job.bound is not None and job.m is None:
@@ -212,15 +182,13 @@ def _cmd_contact(job: JobSpec) -> Outcome:
     return result, text(), code
 
 
-def _cmd_bounds(job: JobSpec) -> Outcome:
-    data = _load_resolution(job)
+def _cmd_bounds(job: argparse.Namespace) -> Outcome:
+    data = load_resolution(job.resolution)
     lower, upper = values_bounds(data)
-    samples = job.samples if job.samples is not None else 500
-    seed = job.seed if job.seed is not None else 0
-    bound = job.bound if job.bound is not None else 8
+    samples, seed, bound = job.samples, job.seed, job.bound
     drawn = sample_multiindices(data, samples, bound, seed)
     observed = rbar_extrema(data, drawn)
-    inside = not outside_bounds(data, drawn)
+    inside = lower <= observed.minimum and observed.maximum <= upper
     result = {
         "command": "bounds", "lower": lower, "upper": upper,
         "samples": samples, "seed": seed, "bound": bound, "all_inside": inside,
@@ -242,7 +210,7 @@ def _cmd_bounds(job: JobSpec) -> Outcome:
     return result, text(), EXIT_OK if inside else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify(job: JobSpec) -> Outcome:
+def _cmd_verify(job: argparse.Namespace) -> Outcome:
     from .verify import run_suite  # only this command loads the bundled suites
 
     try:
@@ -291,7 +259,7 @@ _COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> tuple[str, int]:
+def run(job: argparse.Namespace) -> tuple[str, int]:
     """Execute a job and return (report text, exit code)."""
     try:
         result, lines, code = _COMMANDS[job.command](job)
@@ -339,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bounds on the normalized order")
     p.add_argument("--resolution", required=True, type=Path)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--samples", type=int, default=500,
+                   help="multi-indices to sample (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
+    p.add_argument("--bound", type=int, default=8,
+                   help="side of the sampling box (default %(default)s)")
     add_format(p)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
@@ -352,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(**vars(args))
+def jobspec_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The job ``run`` takes: the parsed arguments themselves."""
+    return args
 
 
 def stdout_closed() -> int:

@@ -38,7 +38,7 @@ from .tseries import is_exponent
 MultiIndex = tuple[int, ...]
 # Most box points a contact search may scan: about 14 s on a 2-vCPU Xeon VM.
 MAX_BOX_POINTS = 10**7
-# Most multi-indices one call may sample: about 4.7 s through ``bounds`` on the
+# Most multi-indices one call may sample: 2.1-2.9 s through ``bounds`` on the
 # bundled x2y3z6 data, on the same VM.
 MAX_SAMPLES = 10**5
 

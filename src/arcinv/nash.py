@@ -155,6 +155,11 @@ def init_directed(surface: Hypersurface, arc: Arc) -> DirectedBlowupState:
     return DirectedBlowupState(transform, lifted, 0, b)
 
 
+def _check_tie_break(tie_break: str) -> None:
+    if tie_break not in ("s_first", "lowest_index"):
+        raise ValueError(f"unknown tie break rule {tie_break!r}")
+
+
 def blowup_step(
     state: DirectedBlowupState, tie_break: TieBreak = "s_first", steps: int = 1
 ) -> tuple[DirectedBlowupState, BlowupRecord]:
@@ -168,8 +173,7 @@ def blowup_step(
     lowest = min(orders)
     if lowest == math.inf:
         raise PreconditionError("cannot blow up along a constant arc")
-    if tie_break not in ("s_first", "lowest_index"):
-        raise ValueError(f"unknown tie break rule {tie_break!r}")
+    _check_tie_break(tie_break)
     chart = (len(gamma) - 1 if tie_break == "s_first" and orders[-1] == lowest
              else orders.index(lowest))
 
@@ -232,6 +236,7 @@ def nash_sequence(
     1, which is useful for diagnostics.  Membership is checked after
     translating steps and at the end (module docstring).
     """
+    _check_tie_break(tie_break)
     if max_steps is not None and max_steps < 1:
         raise PreconditionError("the step budget must be positive")
     state = init_directed(surface, arc)

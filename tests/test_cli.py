@@ -23,6 +23,7 @@ from arcinv.documents import (
     save_document,
 )
 from arcinv.polynomials import Polynomial
+from arcinv.rees import ReesAlgebra
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 XYZ = ("x", "y", "z")
@@ -496,52 +497,60 @@ def test_reproduce_tables_output_is_pinned():
     assert result.stdout == (GOLDEN / "reproduce-tables.txt").read_text()
 
 
+def run_reproduce_tables(monkeypatch, capsys) -> tuple[int, str]:
+    """Run the script in this process, so monkeypatched checks apply to it."""
+    script = str(DATA.parent / "scripts" / "reproduce_tables.py")
+    monkeypatch.setattr(sys, "argv", [script])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(script, run_name="__main__")
+    out, err = capsys.readouterr()
+    assert err == ""
+    return exit_.value.code, out
+
+
 def test_reproduce_tables_exits_5_when_the_grid_breaks_its_closed_form(
     monkeypatch, capsys
 ):
-    script = str(DATA.parent / "scripts" / "reproduce_tables.py")
-    monkeypatch.setattr(sys, "argv", [script])
     monkeypatch.setattr(verify, "x2y3z6_grid_value", off_at_1_1)
-    with pytest.raises(SystemExit) as exit_:
-        runpy.run_path(script, run_name="__main__")
-    assert exit_.value.code == 5
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out.endswith("verification failed: r_bar(1, 1) = 6/5, closed form 11/5\n")
+    code, out = run_reproduce_tables(monkeypatch, capsys)
+    assert code == 5
+    tables = (GOLDEN / "reproduce-tables.txt").read_text()
+    assert out.startswith(tables + "\n")
+    lines = out[len(tables) + 1 :].splitlines()
+    at = lines.index("FAIL  rbar-grid: normalized orders over the multi-index grid "
+                     "match the closed form")
+    assert lines[at + 2] == "      (a,b)=(1,1): got 6/5, want 11/5"
+    assert lines[-1] == "7/8 checks passed in suite 'x2y3z6'"
 
 
-def test_reproduce_tables_refuses_like_the_command_line():
-    result = reproduce_tables("--samples", "100001")
-    assert result.returncode == 4
-    assert "Traceback" not in result.stderr
-    assert result.stdout.endswith("inconclusive: 100001 samples is over 100000\n")
+def weight_6_presentation() -> ReesAlgebra:
+    """The hand presentation with z^6 in weight 6: order 1 at the center still."""
+    x, y, z6 = (Polynomial(XYZ, {e: 1}) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 6)])
+    return ReesAlgebra([(x, 1), (y, 1), (z6, 6)])
+
+
+def test_reproduce_tables_exits_5_when_a_check_it_prints_no_table_for_fails(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(verify, "x2y3z6_presentation", weight_6_presentation)
+    code, out = run_reproduce_tables(monkeypatch, capsys)
+    assert code == 5
+    failed = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert failed == ["FAIL  presentation-crosscheck: arc orders agree between the "
+                      "differential and the hand presentation"]
+    assert "      t^6,t^6,t^5: presentations disagree" in out.splitlines()
 
 
 @pytest.mark.parametrize(
-    "args, refusal",
-    [
-        (["--m-max", "5000"], "the delta table for m = 1..5000 has over 10000000 points"),
-        (["--span", "3000"], "the grid of span 3000 has over 100000 cells"),
-    ],
-    ids=["m-max", "span"],
+    "args",
+    [["--span", "3"], ["--m-max", "5"], ["--samples", "10"], ["--seed", "1"], ["--format"]],
+    ids=["span", "m-max", "samples", "seed", "format"],
 )
-def test_reproduce_tables_refuses_an_oversized_table_before_printing(args, refusal):
-    start = time.perf_counter()
+def test_reproduce_tables_takes_no_options(args):
     result = reproduce_tables(*args)
-    assert time.perf_counter() - start < 2
-    assert result.returncode == 4
-    assert "Traceback" not in result.stderr
-    assert result.stdout == f"inconclusive: {refusal}\n"
-
-
-@pytest.mark.parametrize("span", ["-3", "0"])
-def test_reproduce_tables_refuses_a_span_below_one_before_printing(span):
-    result = reproduce_tables("--span", span)
-    assert result.returncode == 3
-    assert "Traceback" not in result.stderr
-    assert result.stdout == (
-        f"precondition violated: the grid span must be at least 1, not {span}\n"
-    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "unrecognized arguments" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,12 @@ def test_unknown_tiebreak_rejected():
         nash_sequence(CUSP, monomial_arc((3, 2)), tie_break="alphabetical")
 
 
+def test_unknown_tiebreak_rejected_on_a_trapped_arc_too():
+    """The rule is checked on entry, not at the first blow-up a trapped arc never takes."""
+    with pytest.raises(ValueError, match="unknown tie break rule 'bogus'"):
+        nash_sequence(DOUBLE_PLANE, monomial_arc((None, 1)), tie_break="bogus")
+
+
 def _on_quintic(u, v):
     """The arc (u^3, v^2, u v) on QUINTIC, for u, v given by coefficient lists."""
     return x2y3z6_parametrization().arc([TPoly(dict(enumerate(c))) for c in (u, v)])
