@@ -37,8 +37,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .tseries import _UNIT, Terms, TPoly, TRational, _convolve, _format, _lcm_form, _lowest
-from .tseries import exact, is_exponent
+from .tseries import _UNIT, Terms, TPoly, TRational, _at_power_of_two, _convolve, _format
+from .tseries import _lcm_form, _lowest, exact, is_exponent
 
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
@@ -349,8 +349,7 @@ class Polynomial:
         )
         factors: list[dict[int, int]] = []
         for (p, q), top, column in zip(parts, tops, columns):
-            p_at = sum(c << width * k for k, c in p.items())
-            q_at = sum(c << width * k for k, c in q.items())
+            p_at, q_at = _at_power_of_two(p, width), _at_power_of_two(q, width)
             factors.append({k: p_at**k * q_at ** (top - k) for k in set(column)})
         level = self._nums
         for i in reversed(range(len(factors))):

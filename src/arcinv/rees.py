@@ -27,9 +27,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arcs import Arc, Hypersurface
-from .errors import NotInSingularLocus, PreconditionError
+from .errors import BudgetExhausted, NotInSingularLocus, PreconditionError
 from .polynomials import Polynomial
 from .tseries import is_exponent
+
+# Largest differential presentation ``diff_saturate`` builds, as measured by
+# ``_presentation_size``.  At the cap, x^8306 in two variables took 0.22 s and
+# 77 MB peak RSS, and all monomials of degree 17 to 21 in three variables
+# 0.26 s and 71 MB, on a 2-vCPU Xeon VM.  The bundled surfaces take under 10^5.
+MAX_PRESENTATION_SIZE = 10**9
+# A term of a partial weighs this many bits on top of its coefficient's: the
+# dict slot, exponent tuple and integer it is stored in.
+_TERM_BITS = 4096
 
 
 class ReesAlgebra:
@@ -101,12 +110,31 @@ def _scalar_normal_form(p: Polynomial) -> frozenset:
     return frozenset((e, c // g) for e, c in nums.items())
 
 
+def _presentation_size(f: Polynomial, b: int) -> int:
+    """An upper bound on the size of the partials of f of order < b.
+
+    A term c*x^e gives a term of the partial by alpha only for alpha <= e
+    with |alpha| < b: at most prod_i (min(e_i, b - 1) + 1) of them.  Each has
+    the coefficient c * prod_i e_i! / (e_i - alpha_i)!, of at most bitlen c +
+    min(|e|, b - 1) * bitlen max e bits, and weighs ``_TERM_BITS`` more.
+    """
+    size = 0
+    for e, c in f.integer_form[0].items():
+        count = 1
+        for k in e:
+            count *= min(k, b - 1) + 1
+        size += count * (_TERM_BITS + c.bit_length() + min(sum(e), b - 1) * max(e).bit_length())
+    return size
+
+
 def diff_saturate(surface: Hypersurface) -> ReesAlgebra:
     """All iterated partials of f of order < b, each in weight b - |alpha|.
 
     Only meaningful at a singular point, so multiplicity b >= 2 is required.
     Within each weight the generators are deduplicated up to scalar; their
-    order is deterministic (derivation multi-indices in graded order).
+    order is deterministic (derivation multi-indices in graded order).  A
+    presentation whose ``_presentation_size`` is over
+    ``MAX_PRESENTATION_SIZE`` raises ``BudgetExhausted`` before any partial.
     """
     b = surface.multiplicity
     if b < 2:
@@ -114,6 +142,11 @@ def diff_saturate(surface: Hypersurface) -> ReesAlgebra:
             f"differential saturation needs multiplicity >= 2, got {b}"
         )
     f = surface.f
+    size = _presentation_size(f, b)
+    if size > MAX_PRESENTATION_SIZE:
+        raise BudgetExhausted(
+            f"the differential presentation has size {size}, over {MAX_PRESENTATION_SIZE}"
+        )
     n = len(f.variables)
     generators: list[tuple[Polynomial, int]] = [(f, b)]
     seen: set[tuple[int, frozenset]] = {(b, _scalar_normal_form(f))}

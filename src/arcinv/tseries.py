@@ -9,14 +9,17 @@ Those are the only arithmetic operators ``TRational`` defines.  Nothing is
 ever truncated, so all downstream order computations are exact.
 
 ``TPoly`` holds integer numerators over one positive denominator, in lowest
-terms; one integer pseudo-division serves ``divrem`` and ``t_gcd``.
-``Polynomial`` keeps the same form keyed by exponent tuples, through the same
-private helpers (``_lcm_form``, ``_lowest``, ``_convolve``, ``_format``).
-``TRational`` is a quotient of two ``TPoly`` kept in canonical form:
-gcd(num, den) = 1, den monic, den(0) != 0.  Canonical form makes structural
-equality coincide with mathematical equality.  When one side of a gcd is a
-single term c*t^k, the gcd is t^min(orders) and cancelling it only shifts
-exponents.
+terms.  ``Polynomial`` keeps the same form keyed by exponent tuples, through
+the same private helpers (``_lcm_form``, ``_lowest``, ``_convolve``,
+``_at_power_of_two``, ``_format``).  ``TRational`` is a quotient of two
+``TPoly`` kept in canonical form: gcd(num, den) = 1, den monic, den(0) != 0.
+Canonical form makes structural equality coincide with mathematical equality.
+When one side of a gcd is a single term c*t^k, the gcd is t^min(orders) and
+cancelling it only shifts exponents.  Otherwise the gcd and both cofactors
+come from one kernel, the heuristic gcd of Char, Geddes and Gonnet on the
+values at t = 2^k, which checking the cofactors makes exact
+(``_gcd_cofactors``); ``t_gcd`` reads its gcd from the same kernel, and no
+polynomial division is ever taken.
 
 Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
 bool is refused rather than read as a binary expansion or as 0/1.
@@ -194,23 +197,6 @@ class TPoly:
             raise ValueError("ramification index must be a positive integer")
         return TPoly._make({p * n: c for p, c in self._nums.items()}, self._den)
 
-    def divrem(self, divisor: TPoly) -> tuple[TPoly, TPoly]:
-        """Euclidean division: self = q * divisor + r with deg r < deg divisor."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        # s * A = Q * B + R for self = A / a and divisor = B / b gives
-        # q = Q * b / (s * a) and r = R / (s * a).
-        scale, quot, rem = _pseudo_divrem(self._nums, divisor._nums)
-        den = scale * self._den
-        quot = {p: c * divisor._den for p, c in quot.items()}
-        return TPoly._make(quot, den), TPoly._make(rem, den)
-
-    def exact_div(self, divisor: TPoly) -> TPoly:
-        quotient, rem = self.divrem(divisor)
-        if not rem.is_zero:
-            raise ArithmeticError("division expected to be exact left a remainder")
-        return quotient
-
     def __str__(self) -> str:
         return _format(({0: "", 1: "t"}.get(p, f"t^{p}"), c) for p, c in self.items())
 
@@ -218,64 +204,87 @@ class TPoly:
         return f"TPoly({dict(self.items())!r})"
 
 
-def _pseudo_divrem(a: Terms, b: Terms) -> tuple[int, Terms, Terms]:
-    """Integer pseudo-division: s, q, r with s * a = q * b + r, deg r < deg b.
+def _at_power_of_two(terms: Terms, k: int) -> int:
+    """The integer value at t = 2^k: each numerator shifted into its k-bit slot."""
+    return sum(c << (k * e) for e, c in terms.items())
 
-    Before each elimination step the running remainder (and quotient) is
-    multiplied by lc(b) / gcd(lc(b), top coefficient), the least factor
-    that makes the step exact over the integers, so s divides a power of
-    lc(b) and no fraction is formed (Knuth, TAOCP 2, 4.6.1).
+
+def _balanced_digits(value: int, k: int) -> Terms:
+    """The digits of value in base 2^k, each in [-2^(k-1), 2^(k-1)), by power of t."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    digits: Terms = {}
+    e = 0
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            digits[e] = d
+        value = (value - d) >> k
+        e += 1
+    return digits
+
+
+def _gcd_cofactors(u: Terms, v: Terms) -> tuple[Terms, Terms, Terms]:
+    """h, u/h and v/h for the gcd h of two nonzero integer maps, primitive, lc(h) > 0.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989) with its cofactors checked exactly, which makes it a proof; the
+    argument is that of Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra* (1992), 7.7.  Let N <= M be the max norms of u and v, and xi =
+    2^k > 2M + 2: the proof needs only xi > 2N + 2, and starting past 2M + 2
+    reads the larger input's cofactor in the first round far more often.
+    gamma = gcd(u(xi), v(xi)) is nonzero, since xi is past the Cauchy bound
+    1 + N on the roots of the input of smaller norm.  Let G be the
+    polynomial of the balanced base-xi digits of gamma, and h its primitive
+    part with lc(h) > 0, so G = c*h and h(xi) = gamma/c divides u(xi) and
+    v(xi).  c_u and c_v are the digit polynomials of the two quotients, and
+    h is accepted when c_u*h = u and c_v*h = v.
+
+    Exact: on acceptance h divides u and v, and gcd(c_u(xi), c_v(xi)) =
+    gamma/|h(xi)| = |c| <= xi/2, as c divides every digit of G.  A
+    nonconstant common factor d of c_u and c_v would divide the input of
+    smaller norm, so its roots lie in |z| < 1 + N and |d(xi)| >= xi - 1 - N >
+    xi/2; yet d(xi) divides both quotients.  So c_u and c_v are coprime and h
+    is the gcd.  Total: write u = g*u' and v = g*v' over the integers.  Then
+    e = gcd(u'(xi), v'(xi)) divides the resultant Res(u', v') != 0 and gamma
+    = e*|g(xi)|.  Once xi exceeds 2*|Res|*|g| and twice the norms of the
+    cofactors, the digits of gamma are +-e*g, those of the quotients are the
+    cofactors, and the round is accepted.  A failed round doubles k, so the
+    loop ends with no cap and no other route.
     """
-    db = max(b)
-    lead = b[db]
-    scale = 1
-    quot: Terms = {}
-    rem = dict(a)
-    while rem and max(rem) >= db:
-        top = max(rem)
-        g = math.gcd(rem[top], lead)
-        factor = lead // g
-        if factor != 1:
-            scale *= factor
-            rem = {e: c * factor for e, c in rem.items()}
-            quot = {e: c * factor for e, c in quot.items()}
-        shift = top - db
-        quot[shift] = coeff = rem[top] // lead
-        for e, c in b.items():
-            key = e + shift
-            value = rem.get(key, 0) - coeff * c
-            if value:
-                rem[key] = value
-            else:
-                rem.pop(key, None)
-    return scale, quot, rem
+    k = (2 * max(map(abs, (*u.values(), *v.values()))) + 2).bit_length()
+    while True:
+        at_u, at_v = _at_power_of_two(u, k), _at_power_of_two(v, k)
+        gamma = math.gcd(at_u, at_v)
+        digits = _balanced_digits(gamma, k)
+        content = math.gcd(*digits.values())
+        if digits[max(digits)] < 0:
+            content = -content
+        h = {e: c // content for e, c in digits.items()}
+        at_h = gamma // content
+        cu, cv = _balanced_digits(at_u // at_h, k), _balanced_digits(at_v // at_h, k)
+        # _convolve keeps a cancelled entry as 0; u and v hold none.
+        if (
+            {e: c for e, c in _convolve(cu, h).items() if c} == u
+            and {e: c for e, c in _convolve(cv, h).items() if c} == v
+        ):
+            return h, cu, cv
+        k *= 2
 
 
 def t_gcd(a: TPoly, b: TPoly) -> TPoly:
     """Monic greatest common divisor.
 
-    Runs a primitive pseudo-remainder sequence (Collins 1967) on the integer
-    numerators, which keeps the coefficient sizes under control where plain
-    fraction Euclid would swell; powers of t common to both inputs are split
-    off first.
+    The heuristic gcd of ``_gcd_cofactors`` on the integer numerators, made
+    monic; powers of t common to both inputs are part of it.
     """
     if a.is_zero:
         return TPoly.zero() if b.is_zero else b.monic()
     if b.is_zero:
         return a.monic()
-    low_a, low_b = int(a.order()), int(b.order())
-    u = {e - low_a: c for e, c in a._nums.items()}
-    v = {e - low_b: c for e, c in b._nums.items()}
-    shift = min(low_a, low_b)
-    if max(u) < max(v):
-        u, v = v, u
-    while v:
-        if max(v) == 0:
-            return TPoly.t(shift)
-        rem = _pseudo_divrem(u, v)[2]
-        content = math.gcd(*rem.values())
-        u, v = v, {e: c // content for e, c in rem.items()}
-    return TPoly._make({e + shift: c for e, c in u.items()}, u[max(u)])
+    h = _gcd_cofactors(a._nums, b._nums)[0]
+    return TPoly._make(h, h[max(h)])
 
 
 def _shift(poly: TPoly, k: int) -> TPoly:
@@ -292,14 +301,20 @@ def _cancel(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
     """num/g and den/g for g = gcd(num, den); both are nonzero.
 
     If either side is one term c*t^k, g = t^min(orders), an exponent shift.
+    Otherwise g = h/lc(h) for the gcd h of ``_gcd_cofactors``, and num/g is
+    its cofactor times lc(h) over num's denominator; so is den/g.
     """
     if len(num._nums) == 1 or len(den._nums) == 1:
         k = min(min(num._nums), min(den._nums))
         return _shift(num, k), _shift(den, k)
-    common = t_gcd(num, den)
-    if common.degree > 0:
-        return num.exact_div(common), den.exact_div(common)
-    return num, den
+    h, cu, cv = _gcd_cofactors(num._nums, den._nums)
+    if h == _UNIT:
+        return num, den
+    lead = h[max(h)]
+    return (
+        TPoly._make({e: c * lead for e, c in cu.items()}, num._den),
+        TPoly._make({e: c * lead for e, c in cv.items()}, den._den),
+    )
 
 
 def _monic(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
@@ -338,7 +353,7 @@ class TRational:
 
     @classmethod
     def zero(cls) -> TRational:
-        return cls(TPoly.zero())
+        return cls._canonical(TPoly.zero(), TPoly.one())
 
     @classmethod
     def one(cls) -> TRational:
@@ -351,6 +366,10 @@ class TRational:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def _is_term(self) -> bool:
+        """Whether self is c*t^p with c != 0: a canonical den of one term is 1."""
+        return len(self.num._nums) == 1 and len(self.den._nums) == 1
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -413,6 +432,10 @@ class TRational:
         is made monic: gcd(a, b) = gcd(p, q) = 1 leave no other common
         factor.  As b(0) != 0, it is a power series iff (p/g1)(0) != 0, i.e.
         iff the divisor's order at t = 0 is at most the dividend's.
+
+        A divisor c*t^p of order at most the dividend's only shifts the
+        numerator down by p and divides it by c.  That pair is canonical as it
+        stands: den is unchanged, and t does not divide it.
         """
         if not isinstance(other, TRational):
             return NotImplemented
@@ -420,14 +443,21 @@ class TRational:
             raise ZeroDivisionError("zero denominator")
         if self.is_zero:
             return self
+        if other._is_term() and min(self.num._nums) >= min(other.num._nums):
+            ((p, c),) = other.num._nums.items()
+            num = _shift(self.num, p)
+            if c != other.num._den:
+                num = num.scale(Fraction(other.num._den, c))
+            return TRational._canonical(num, self.den)
         a, p = _cancel(self.num, other.num)
         q, b = _cancel(other.den, self.den)
         return TRational._canonical(*_monic(a * q, b * p))
 
     def __pow__(self, exponent: int) -> TRational:
-        """Square-and-multiply with exactly floor(log2 k) squarings for k >= 1.
+        """c^k*t^(kp) for a single term c*t^p; else square-and-multiply.
 
-        The base is squared only while bits of k remain, so no power is built
+        Square-and-multiply takes exactly floor(log2 k) squarings for k >= 1:
+        the base is squared only while bits of k remain, so no power is built
         and then dropped; the result starts as the power at the lowest set bit
         of k, so it is never multiplied by one.
         """
@@ -435,6 +465,10 @@ class TRational:
             raise ValueError(f"exponent {exponent!r} is not an integer >= 0")
         if not exponent:
             return TRational.one()
+        if self._is_term():
+            ((p, c),) = self.num._nums.items()
+            power = TPoly._make({p * exponent: c**exponent}, self.num._den**exponent)
+            return TRational._canonical(power, self.den)
         base, e = self, exponent
         while not e & 1:
             base, e = base * base, e >> 1

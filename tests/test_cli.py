@@ -276,6 +276,10 @@ def test_verify_suites_take_no_tuning_flags(flag, capsys):
 # would list 6,000,000 steps.
 R60_ARC = "arc_t60_t60_t50"
 N6_ARC = "arc_t6n_t6n_t5n"
+# x^20000 in two variables, whose differential presentation took 1.5 s and
+# 381 MB to build, and the arc (0, t) that stays in its singular locus.
+X20000 = "surface_x20000"
+ZERO_T_ARC = "arc_0_t"
 
 
 @pytest.mark.parametrize(
@@ -300,14 +304,24 @@ N6_ARC = "arc_t6n_t6n_t5n"
         (["nash", "--surface", str(DATA / "x2y3z6_surface.json"),
           "--arc", str(DATA / "arc_t6_t6_t5.json"), "--budget", "50001"],
          "a step budget of 50001 is over 50000"),
+        (["qpers", "--surface", X20000, "--arc", ZERO_T_ARC],
+         "the differential presentation has size 6081640000, over 1000000000"),
+        (["nash", "--surface", X20000, "--arc", ZERO_T_ARC, "--budget", "10"],
+         "the differential presentation has size 6081640000, over 1000000000"),
     ],
     ids=["contact-m", "contact-m-max", "bounds-samples", "qpers-n-max", "qpers-r-60",
-         "nash-n-10-6", "nash-n-10-6-trace", "nash-budget"],
+         "nash-n-10-6", "nash-n-10-6-trace", "nash-budget", "qpers-x-20000",
+         "nash-x-20000"],
 )
 def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, tmp_path, capsys):
-    placeholders = {R60_ARC: (60, 60, 50), N6_ARC: (6 * 10**6, 6 * 10**6, 5 * 10**6)}
-    for name, powers in placeholders.items():
-        save_document(tmp_path / name, arc_to_doc(monomial_arc(powers)))
+    placeholders = {
+        R60_ARC: arc_to_doc(monomial_arc((60, 60, 50))),
+        N6_ARC: arc_to_doc(monomial_arc((6 * 10**6, 6 * 10**6, 5 * 10**6))),
+        X20000: hypersurface_to_doc(Hypersurface(Polynomial(("x", "y"), {(20000, 0): 1}))),
+        ZERO_T_ARC: arc_to_doc(monomial_arc((None, 1))),
+    }
+    for name, doc in placeholders.items():
+        save_document(tmp_path / name, doc)
     argv = [str(tmp_path / a) if a in placeholders else a for a in argv]
     start = time.perf_counter()
     code = main(argv)

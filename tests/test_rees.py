@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arcinv.arcs import Arc, Hypersurface, monomial_arc
 from arcinv.errors import NotInSingularLocus, PreconditionError
 from arcinv.polynomials import Polynomial
-from arcinv.rees import ReesAlgebra, diff_saturate
+from arcinv.rees import _TERM_BITS, ReesAlgebra, _presentation_size, diff_saturate
 from arcinv.tseries import TRational
 
 XYZ = ("x", "y", "z")
@@ -73,6 +75,16 @@ def test_saturation_sizes_frozen():
     quintic = diff_saturate(QUINTIC).generators
     assert len(quintic) == 15
     assert sorted(set(w for _, w in quintic)) == [1, 2, 3, 4, 5]
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: sum(e) >= 2),
+                       st.integers(-(10**30), 10**30).filter(bool), min_size=1, max_size=5))
+def test_presentation_size_bounds_the_presentation(terms):
+    # The cap is checked against this bound before any partial is built.
+    f = Polynomial(("x", "y"), terms)
+    generators = diff_saturate(Hypersurface(f)).generators
+    built = sum(_TERM_BITS + c.bit_length() for g, _ in generators for c in g.integer_form[0].values())
+    assert built <= _presentation_size(f, Hypersurface(f).multiplicity)
 
 
 def test_saturation_requires_a_singular_point():

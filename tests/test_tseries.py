@@ -1,7 +1,7 @@
 """Univariate layer: polynomials in t, canonical quotients, gcd.
 
-sympy is used as an independent oracle for the gcd and for division, which
-share one hand-rolled integer pseudo-division worth distrusting.
+sympy is used as an independent oracle for the gcd, whose heuristic kernel
+reads a polynomial off the digits of an integer and is worth distrusting.
 """
 
 import math
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from arcinv.arcs import monomial_arc
 from arcinv.polynomials import Polynomial
+import arcinv.tseries as tseries
 from arcinv.tseries import TPoly, TRational, _cancel, t_gcd
 
 T = sympy.Symbol("t")
@@ -45,6 +46,8 @@ def test_zero_conventions():
     assert zero.degree == -1
     assert zero.order() == math.inf
     assert not zero
+    got, want = TRational.zero(), TRational(zero, TPoly({0: 3, 1: 1}))
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_trational_truth_is_nonzero():
@@ -126,36 +129,16 @@ def assert_lowest_terms(p):
     assert TPoly(dict(p.items())) == p
 
 
-@given(tpolys, tpolys, nonzero_tpolys, nonzero_coeffs, st.integers(1, 4))
-def test_stored_form_is_unique(a, b, c, factor, n):
+@given(tpolys, tpolys, nonzero_tpolys, nonzero_tpolys, nonzero_coeffs, st.integers(1, 4))
+def test_stored_form_is_unique(a, b, c, d, factor, n):
     for result in [a + b, a + b.scale(-1), a + a.scale(-1), a * b, a.scale(factor), a.scale(0),
-                   a.stretch(n), c.monic(), *a.divrem(c)]:
+                   a.stretch(n), c.monic(), t_gcd(a, c), *_cancel(c * d, d)]:
         assert_lowest_terms(result)
-
-
-@given(tpolys, nonzero_tpolys)
-def test_divrem_matches_sympy(a, b):
-    q, r = a.divrem(b)
-    want_q, want_r = sympy.div(to_sympy(a), to_sympy(b), T)
-    assert sympy.expand(to_sympy(q) - want_q) == 0
-    assert sympy.expand(to_sympy(r) - want_r) == 0
 
 
 def test_stretch_scales_orders():
     p = TPoly({1: 2, 3: 1})
     assert p.stretch(4) == TPoly({4: 2, 12: 1})
-
-
-@given(tpolys, nonzero_tpolys)
-def test_divrem_identity(a, b):
-    q, r = a.divrem(b)
-    assert a == q * b + r
-    assert r.degree < b.degree
-
-
-@given(tpolys, nonzero_tpolys)
-def test_exact_div_roundtrip(a, b):
-    assert (a * b).exact_div(b) == a
 
 
 @settings(deadline=None)
@@ -170,9 +153,43 @@ def test_gcd_matches_sympy(a, b):
 
 @given(nonzero_tpolys, nonzero_tpolys)
 def test_gcd_divides_both(a, b):
-    g = t_gcd(a, b)
-    assert a.divrem(g)[1].is_zero
-    assert b.divrem(g)[1].is_zero
+    g = to_sympy(t_gcd(a, b))
+    assert sympy.rem(to_sympy(a), g, T) == 0
+    assert sympy.rem(to_sympy(b), g, T) == 0
+
+
+def test_gcd_widens_past_a_misread_round(monkeypatch):
+    # (2t + 3)(t - 1)^2 and (t - 2)(t - 1)^2 have max norm 5, so the first
+    # width is k = 4.  At t = 16 the cofactors take the values 35 and 14,
+    # which share 7, and gamma = 7 * 15^2 = 1575 has the base-16 digits
+    # 6, 2, 7: no multiple of (t - 1)^2, so that round must fail its check.
+    widths = []
+    digits = tseries._balanced_digits
+    monkeypatch.setattr(
+        tseries, "_balanced_digits", lambda value, k: widths.append(k) or digits(value, k)
+    )
+    square = TPoly({0: 1, 1: -2, 2: 1})
+    a, b = TPoly({0: 3, 1: 2}) * square, TPoly({0: -2, 1: 1}) * square
+    assert t_gcd(a, b) == square
+    assert widths[0] == 4 and max(widths) > 4
+    expected = sympy.gcd(to_sympy(a), to_sympy(b), T)
+    assert sympy.expand(to_sympy(square) - sympy.Poly(expected, T).monic().as_expr()) == 0
+
+
+big_tpolys = st.dictionaries(
+    st.integers(0, 8), st.integers(-(2**200), 2**200), min_size=1, max_size=5
+).map(TPoly).filter(bool)
+
+
+@settings(deadline=None)
+@given(big_tpolys, big_tpolys, big_tpolys)
+def test_cancel_of_a_common_factor(a, b, g):
+    num, den = a * g, (b * g).monic()
+    got_num, got_den = _cancel(num, den)
+    assert got_num * den == got_den * num
+    nums, den_den = got_den.integer_form
+    assert nums[max(nums)] == den_den
+    assert sympy.degree(sympy.gcd(to_sympy(got_num), to_sympy(got_den), T), T) == 0
 
 
 def test_gcd_pulls_out_t_powers():
@@ -288,7 +305,8 @@ def test_cancel_of_one_term_is_the_gcd_route(p, c, k):
     term = TPoly({k: c})
     common = t_gcd(p, term)
     for num, den in [(p, term), (term, p)]:
-        assert _cancel(num, den) == (num.exact_div(common), den.exact_div(common))
+        got_num, got_den = _cancel(num, den)
+        assert (got_num * common, got_den * common) == (num, den)
 
 
 # Inputs on which the square-and-multiply once ran past the default deadline.
@@ -331,6 +349,33 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
         squarings.clear()
         assert base**k == TRational(num_k, den_k)
         assert len(squarings) == k.bit_length() - 1
+
+
+terms = st.tuples(nonzero_coeffs, st.integers(0, 6)).map(
+    lambda ck: TRational(TPoly({ck[1]: ck[0]}))
+)
+
+
+@given(terms, st.integers(1, 6))
+def test_power_of_a_term_is_the_generic_route(a, k):
+    # Oracle: the k-fold product of the numerator, through __init__.
+    num = TPoly.one()
+    for _ in range(k):
+        num = num * a.num
+    got, want = a**k, TRational(num)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(dividends, terms)
+def test_division_by_a_term_is_the_generic_route(a, b):
+    try:
+        want = TRational(a.num * b.den, a.den * b.num)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a power series"):
+            a / b
+        return
+    got = a / b
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def assert_canonical_product(product, a, b):
