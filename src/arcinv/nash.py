@@ -49,9 +49,10 @@ along the arc.  ``nash_sequence`` first pulls back the first partials d_j f,
 one ``compose_order`` each.  A nonzero d_j f is a nonzero scalar multiple of
 a weight-(b - 1) generator of that presentation, so if one pulls back to a
 nonzero series the order is finite and the arc is not trapped.  Only when
-every d_j f pulls back to zero is the whole presentation pulled back.  With
-P "every d_j f pulls back to zero" and Q "the presentation has infinite
-order along the arc", Q implies P, so P and Q is the same predicate as Q.
+every d_j f pulls back to zero is the order of the whole presentation read,
+by ``rees.diff_order``, which builds none of it.  With P "every d_j f pulls
+back to zero" and Q "the presentation has infinite order along the arc", Q
+implies P, so P and Q is the same predicate as Q.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Literal
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
 from .polynomials import Polynomial
-from .rees import ReesAlgebra, diff_saturate
+from .rees import diff_order
 from .tseries import TRational
 
 TieBreak = Literal["s_first", "lowest_index"]
@@ -230,10 +231,11 @@ def nash_sequence(
     maximal multiplicity locus never drop; that situation is detected up
     front and reported as infinite: a first partial of f that pulls back to
     a nonzero series settles that the arc is not trapped, and only when all
-    of them pull back to zero does the differential presentation decide; the
-    predicate is the same (module docstring).  With ``stop_at_drop=False``
-    the iteration continues past the drop until the sequence stabilizes at
-    1, which is useful for diagnostics.  Membership is checked after
+    of them pull back to zero does the order of the differential presentation
+    (``rees.diff_order``) decide; the predicate is the same (module
+    docstring).  With ``stop_at_drop=False`` the iteration continues past
+    the drop until the sequence stabilizes at 1, which is useful for
+    diagnostics.  Membership is checked after
     translating steps and at the end (module docstring).
     """
     _check_tie_break(tie_break)
@@ -245,10 +247,8 @@ def nash_sequence(
     # a first partial with a nonzero pullback already proves it finite.
     f, gamma = surface.f, arc.components
     firsts = (f.partial_derivative(j).compose_order(gamma) for j in range(len(gamma)))
-    if all(order == math.inf for order in firsts):
-        derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
-        if derivatives.ord_along_arc(arc) == math.inf:
-            return NashReport(state.multiplicity, None, True, budget, ())
+    if all(order == math.inf for order in firsts) and diff_order(surface, arc) == math.inf:
+        return NashReport(state.multiplicity, None, True, budget, ())
     m0 = state.multiplicity
     runs: list[BlowupRecord] = []
     rho: int | None = None

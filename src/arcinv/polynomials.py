@@ -84,6 +84,28 @@ def _dense(values: Sequence[TRational]) -> bool:
     return spread
 
 
+def _leads(values: Sequence[TRational]) -> list[tuple[int, int, int] | None]:
+    """(o_i, n(o_i) b, a d(0)) per value, None for zero (``compose_order``)."""
+    leads = []
+    for value in values:
+        (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+        o = min(n, default=None)
+        leads.append(None if o is None else (o, n[o] * b, d[0] * a))
+    return leads
+
+
+def _leading_sum(lowest: Sequence[tuple[Exponent, int]], leads: Sequence) -> int:
+    """S over the terms (e, c) of least weight, as an integer (``compose_order``)."""
+    tops = [max(column) for column in zip(*(e for e, _ in lowest))]
+    total = 0
+    for e, c in lowest:
+        for k, top, lead in zip(e, tops, leads):
+            if top:
+                c *= lead[1] ** k * lead[2] ** (top - k)
+        total += c
+    return total
+
+
 class Polynomial:
     """Multivariate polynomial with named variables and exact coefficients.
 
@@ -273,17 +295,14 @@ class Polynomial:
         else starts higher: S != 0 proves the order is low.  With no such
         term, every term has a zero factor, so the pullback is 0.  S is tested
         over the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i
-        in S.  Only when S = 0 (a cancellation, or a zero pullback) is the
+        in S (``_leads`` and ``_leading_sum``, which ``rees.diff_order``
+        shares).  Only when S = 0 (a cancellation, or a zero pullback) is the
         order read from the full numerator: by ``_evaluated_order`` when every
         value is dense and not all are monomials, else from ``_compose_parts``.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
-        leads = []
-        for value in values:
-            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
-            o = min(n, default=None)
-            leads.append(None if o is None else (o, n[o] * b, d[0] * a))
+        leads = _leads(values)
         low, lowest = math.inf, []
         for e, c in self._nums.items():
             if any(k and lead is None for k, lead in zip(e, leads)):
@@ -295,14 +314,7 @@ class Polynomial:
                 lowest.append((e, c))
         if not lowest:
             return math.inf
-        tops = [max(column) for column in zip(*(e for e, _ in lowest))]
-        total = 0
-        for e, c in lowest:
-            for k, top, lead in zip(e, tops, leads):
-                if top:
-                    c *= lead[1] ** k * lead[2] ** (top - k)
-            total += c
-        if total:
+        if _leading_sum(lowest, leads):
             return low
         if _dense(values):
             return self._evaluated_order(values)

@@ -9,8 +9,9 @@ hypersurface pulled back along the arc.  One identity ties them together:
   is the floor identity rho = floor(r).
 
 It is checkable here because both sides are computed by independent
-routes: rho by running the blow-up engine, r by composing the
-differential generators with the arc.  Dividing r by the contact order nu
+routes: rho by running the blow-up engine, r from the leading forms of the
+partials of f along the arc (``rees.diff_order``, which builds no
+presentation but is proved to give its order).  Dividing r by the contact order nu
 of the arc gives the normalized invariant r / nu, which only depends on the
 divisorial valuation the arc defines and is invariant under ramification.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, PreconditionError
 from .nash import default_budget, nash_sequence
-from .rees import ReesAlgebra, diff_saturate
+from .rees import diff_order
 
 # Largest step budget of a limit-identity table, summed over its rows: the
 # bundled x2y3z6 arcs (b = 5, nu = 5) at n_max = 400, 8 * 5 * 5 * 80200 steps,
@@ -52,7 +53,7 @@ def q_persistance(surface: Hypersurface, arc: Arc) -> QPersistanceResult:
         raise PreconditionError("the arc does not lie on the hypersurface")
     nu = arc.order()
     # f pulls back to zero, so the derivatives alone give the order.
-    r = ReesAlgebra(diff_saturate(surface).generators[1:]).ord_along_arc(arc)
+    r = diff_order(surface, arc)
     if r == math.inf:
         return QPersistanceResult(math.inf, math.inf, nu, None)
     return QPersistanceResult(r, r / nu, nu, math.floor(r))

@@ -18,8 +18,7 @@ When one side of a gcd is a single term c*t^k, the gcd is t^min(orders) and
 cancelling it only shifts exponents.  Otherwise the gcd and both cofactors
 come from one kernel, the heuristic gcd of Char, Geddes and Gonnet on the
 values at t = 2^k, which checking the cofactors makes exact
-(``_gcd_cofactors``); ``t_gcd`` reads its gcd from the same kernel, and no
-polynomial division is ever taken.
+(``_gcd_cofactors``); no polynomial division is ever taken.
 
 Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
 bool is refused rather than read as a binary expansion or as 0/1.
@@ -271,20 +270,6 @@ def _gcd_cofactors(u: Terms, v: Terms) -> tuple[Terms, Terms, Terms]:
         ):
             return h, cu, cv
         k *= 2
-
-
-def t_gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic greatest common divisor.
-
-    The heuristic gcd of ``_gcd_cofactors`` on the integer numerators, made
-    monic; powers of t common to both inputs are part of it.
-    """
-    if a.is_zero:
-        return TPoly.zero() if b.is_zero else b.monic()
-    if b.is_zero:
-        return a.monic()
-    h = _gcd_cofactors(a._nums, b._nums)[0]
-    return TPoly._make(h, h[max(h)])
 
 
 def _shift(poly: TPoly, k: int) -> TPoly:

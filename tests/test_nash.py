@@ -22,9 +22,9 @@ from arcinv.nash import (
 )
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
-from arcinv.rees import ReesAlgebra, diff_saturate
+from arcinv.rees import ReesAlgebra, diff_order, diff_saturate
 from arcinv.tseries import TPoly, TRational
-from arcinv.verify import sampled_arc, x2y3z6_parametrization
+from arcinv.verify import corpus, sampled_arc, x2y3z6_parametrization, x2y3z6_surface
 
 XYZ = ("x", "y", "z")
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
@@ -242,6 +242,28 @@ def test_first_partials_decide_trapped_arcs_as_the_presentation_does(family, u, 
     assert arc.lies_on(surface)
     derivatives = ReesAlgebra(diff_saturate(surface).generators[1:])
     assert nash_sequence(surface, arc).infinite == (derivatives.ord_along_arc(arc) == math.inf)
+
+
+STEP_IDENTITY_ARCS = [
+    (f"({a},{b}) n={n}", x2y3z6_surface(), sampled_arc(a, b, 0).ramify(n))
+    for a, b in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+    for n in (1, 2, 3)
+] + corpus()
+
+
+@pytest.mark.parametrize("name,surface,arc", STEP_IDENTITY_ARCS,
+                         ids=[case[0] for case in STEP_IDENTITY_ARCS])
+def test_r_drops_by_one_per_s_first_blowup(name, surface, arc):
+    """At step k below the drop, the order of (F_k, gamma_k) is r - k, by both routes."""
+    r = q_persistance(surface, arc).r
+    state = init_directed(surface, arc)
+    while state.multiplicity == surface.multiplicity:
+        transform, lifted = Hypersurface(state.transform), Arc(state.lifted)
+        order = diff_order(transform, lifted)
+        assert order == r - state.step
+        assert order == ReesAlgebra(diff_saturate(transform).generators[1:]).ord_along_arc(lifted)
+        state, _ = blowup_step(state)
+    assert state.step == math.floor(r)
 
 
 # Arcs whose runs mix center-0 and translating steps in s and coordinate

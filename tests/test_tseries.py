@@ -1,7 +1,8 @@
 """Univariate layer: polynomials in t, canonical quotients, gcd.
 
 sympy is used as an independent oracle for the gcd, whose heuristic kernel
-reads a polynomial off the digits of an integer and is worth distrusting.
+reads a polynomial off the digits of an integer and is worth distrusting;
+``t_gcd`` below reads the monic gcd from that kernel for the comparison.
 """
 
 import math
@@ -15,9 +16,19 @@ from hypothesis import strategies as st
 from arcinv.arcs import monomial_arc
 from arcinv.polynomials import Polynomial
 import arcinv.tseries as tseries
-from arcinv.tseries import TPoly, TRational, _cancel, t_gcd
+from arcinv.tseries import TPoly, TRational, _cancel, _gcd_cofactors
 
 T = sympy.Symbol("t")
+
+
+def t_gcd(a: TPoly, b: TPoly) -> TPoly:
+    """Monic gcd from ``_gcd_cofactors``; common powers of t are part of it."""
+    if a.is_zero:
+        return TPoly.zero() if b.is_zero else b.monic()
+    if b.is_zero:
+        return a.monic()
+    h = _gcd_cofactors(a._nums, b._nums)[0]
+    return TPoly._make(h, h[max(h)])
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_coeffs = coeffs.filter(bool)
