@@ -10,19 +10,23 @@ arithmetic operators.  A blow-up needs only ``translate``,
 ``partial_derivative``, ``_map_exponents`` and the pullback along an arc
 (``compose``, ``compose_order``).
 
-``compose_order`` reads the order of a pullback from its leading form: if
-value i starts l_i t^(o_i), every term c_e x^e with no zero factor starts
-c_e prod_i l_i^(e_i) t^(e . o), so when the terms of least weight e . o do
-not cancel at l, that weight is the order.  Only a cancellation, or a zero
-pullback, needs the full numerator num(t), and it takes one of two routes,
-chosen from the values.  When every value is dense (numerator and
-denominator each of degree below twice their term count, zero included) and
-not every one is a monomial, num is evaluated at t = 2^W by the same nested
-sum over Python integers: W is a bound on the bit length of num's
-coefficients, so each fills its own slot of W bits, the value is 0 exactly
-when num is, and otherwise its 2-adic valuation over W is the order.
-Monomial and other sparse values, such as ramified arcs t^(kn), whose slots
-would be mostly empty, build num as a map of powers (``_compose_parts``).
+``compose_order`` reads the order of a pullback from the weight classes of
+its terms: if value i starts l_i t^(o_i), every term c_e x^e with no zero
+factor starts c_e prod_i l_i^(e_i) t^(e . o), so when the terms of least
+weight e . o do not cancel at l, that weight is the order.  When every value
+is zero or the single term l_i t^(o_i), as along a monomial arc, its
+ramifications and its lifts through blow-ups, each such term pulls back to
+exactly its leading term: the order is the least weight whose class does not
+cancel, or infinity, and no numerator is built.  Otherwise only a
+cancellation in the least class, or a zero pullback, needs the full
+numerator num(t), and it takes one of two routes, chosen from the values.
+When every value is dense (numerator and denominator each of degree below
+twice their term count, zero included), num is evaluated at t = 2^W by the
+same nested sum over Python integers: W is a bound on the bit length of
+num's coefficients, so each fills its own slot of W bits, the value is 0
+exactly when num is, and otherwise its 2-adic valuation over W is the order.
+Other sparse values, such as ramified sampled arcs, whose slots would be
+mostly empty, build num as a map of powers (``_compose_parts``).
 
 Coefficients are kept in the integer form of ``TPoly`` (numerators over one
 denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
@@ -71,17 +75,13 @@ def _dense(values: Sequence[TRational]) -> bool:
 
     Every numerator and denominator must have degree below twice its term
     count (zero included), so that over half of its slots at t = 2^W are
-    full, and some value must have two terms or more: with every value a
-    monomial or zero, ``_compose_parts`` convolves nothing.
+    full.  ``compose_order`` asks only when some value has two terms or more.
     """
-    spread = False
-    for value in values:
-        for part in (value.num, value.den):
-            nums = part.integer_form[0]
-            if nums and max(nums) >= 2 * len(nums):
-                return False
-            spread = spread or len(nums) > 1
-    return spread
+    return all(
+        not nums or max(nums) < 2 * len(nums)
+        for value in values
+        for nums in (value.num.integer_form[0], value.den.integer_form[0])
+    )
 
 
 def _leads(values: Sequence[TRational]) -> list[tuple[int, int, int] | None]:
@@ -290,31 +290,47 @@ class Polynomial:
         Value i = n(t)/a over d(t)/b starts l_i t^(o_i), with o_i = ord n and
         l_i = n(o_i) b / (a d(0)), as d(0) != 0.  So a term c_e x^e with no
         zero value among its factors starts c_e prod_i l_i^(e_i) t^(e . o);
-        with low the least such e . o, the coefficient of t^low in the
-        pullback is S = sum over e . o = low of c_e prod_i l_i^(e_i), and all
-        else starts higher: S != 0 proves the order is low.  With no such
-        term, every term has a zero factor, so the pullback is 0.  S is tested
-        over the integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i
-        in S (``_leads`` and ``_leading_sum``, which ``rees.diff_order``
-        shares).  Only when S = 0 (a cancellation, or a zero pullback) is the
-        order read from the full numerator: by ``_evaluated_order`` when every
-        value is dense and not all are monomials, else from ``_compose_parts``.
+        the terms of one weight w = e . o form a class, whose leading sum
+        S_w = sum over e . o = w of c_e prod_i l_i^(e_i) is tested over the
+        integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i in the
+        class (``_leads`` and ``_leading_sum``, which ``rees.diff_order``
+        shares).  With low the least weight, the coefficient of t^low in the
+        pullback is S_low and all else starts higher: S_low != 0 proves the
+        order is low.  With no class, every term has a zero factor, so the
+        pullback is 0.
+
+        When every value is zero or one term (``TRational._is_term``), the
+        pullback is exactly sum_w S_w t^w.  Proof: a canonical value with a
+        one-term numerator and a one-term denominator has den = 1, as den is
+        monic and den(0) != 0, so it is exactly l_i t^(o_i); a term with no
+        zero factor then pulls back to exactly c_e prod_i l_i^(e_i) t^(e . o),
+        and a term with a zero factor to 0.  So the coefficient of t^w is
+        S_w, and the order is the least w with S_w != 0, or infinity when
+        every class cancels: an identity, not a bound or a sampled test.
+
+        For other values, only when S_low = 0 (a cancellation, or a zero
+        pullback) is the order read from the full numerator: by
+        ``_evaluated_order`` when every value is dense, else from
+        ``_compose_parts``.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
         leads = _leads(values)
-        low, lowest = math.inf, []
+        classes: dict[int, list[tuple[Exponent, int]]] = {}
         for e, c in self._nums.items():
             if any(k and lead is None for k, lead in zip(e, leads)):
                 continue
             weight = sum(k * lead[0] for k, lead in zip(e, leads) if k)
-            if weight < low:
-                low, lowest = weight, []
-            if weight == low:
-                lowest.append((e, c))
-        if not lowest:
+            classes.setdefault(weight, []).append((e, c))
+        if not classes:
             return math.inf
-        if _leading_sum(lowest, leads):
+        if all(value.is_zero or value._is_term() for value in values):
+            for weight in sorted(classes):
+                if _leading_sum(classes[weight], leads):
+                    return weight
+            return math.inf
+        low = min(classes)
+        if _leading_sum(classes[low], leads):
             return low
         if _dense(values):
             return self._evaluated_order(values)

@@ -14,6 +14,13 @@ the same private helpers (``_lcm_form``, ``_lowest``, ``_convolve``,
 ``_at_power_of_two``, ``_format``).  ``TRational`` is a quotient of two
 ``TPoly`` kept in canonical form: gcd(num, den) = 1, den monic, den(0) != 0.
 Canonical form makes structural equality coincide with mathematical equality.
+Subtracting a constant c = p/q, which recenters an arc after a blow-up, is
+one pass over the integer forms: with num = n/a and den = d/b, the new
+numerator is (n q b - p a d)/(a q b) over the same den, brought to lowest
+terms once, with no polynomial gcd; so ``TPoly`` needs no sum, and its only
+operator is the product.  The constants 1 and t^k and the substitution
+t -> t^n are in lowest terms as built, so they are stored as they are
+(``TPoly._wrap``).
 When one side of a gcd is a single term c*t^k, the gcd is t^min(orders) and
 cancelling it only shifts exponents.  Otherwise the gcd and both cofactors
 come from one kernel, the heuristic gcd of Char, Geddes and Gonnet on the
@@ -65,16 +72,6 @@ def _lowest(nums: Nums, den: int) -> tuple[Nums, int]:
     return nums, den
 
 
-def _sum(a: Terms, a_den: int, b: Terms, b_den: int) -> tuple[Terms, int]:
-    """a / a_den + b / b_den over the lcm of the denominators, not reduced."""
-    den = math.lcm(a_den, b_den)
-    mine, theirs = den // a_den, den // b_den
-    nums = {key: c * mine for key, c in a.items()}
-    for key, c in b.items():
-        nums[key] = nums.get(key, 0) + c * theirs
-    return nums, den
-
-
 def _convolve(a: Terms, b: Terms) -> Terms:
     """Integer product of two maps from powers of t to numerators."""
     nums: Terms = {}
@@ -116,17 +113,22 @@ class TPoly:
     @classmethod
     def _make(cls, nums: Terms, den: int = 1) -> TPoly:
         """The polynomial with numerators nums over den, brought to lowest terms."""
+        return cls._wrap(*_lowest(nums, den))
+
+    @classmethod
+    def _wrap(cls, nums: Terms, den: int = 1) -> TPoly:
+        """The polynomial with numerators nums over den, already in lowest terms."""
         poly = object.__new__(cls)
-        poly._nums, poly._den = _lowest(nums, den)
+        poly._nums, poly._den = nums, den
         return poly
 
     @classmethod
     def zero(cls) -> TPoly:
-        return cls()
+        return cls._wrap({})
 
     @classmethod
     def one(cls) -> TPoly:
-        return cls({0: 1})
+        return cls._wrap({0: 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> TPoly:
@@ -134,7 +136,9 @@ class TPoly:
 
     @classmethod
     def t(cls, power: int = 1) -> TPoly:
-        return cls({power: 1})
+        if not is_exponent(power):
+            raise ValueError(f"invalid exponent {power!r} for a power of t")
+        return cls._wrap({power: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -168,11 +172,6 @@ class TPoly:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._nums.items())))
 
-    def __add__(self, other: TPoly) -> TPoly:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return TPoly._make(*_sum(self._nums, self._den, other._nums, other._den))
-
     def __mul__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
@@ -191,10 +190,10 @@ class TPoly:
         return TPoly._make(self._nums, self._nums[self.degree]) if self._nums else self
 
     def stretch(self, n: int) -> TPoly:
-        """The substitution t -> t^n."""
+        """The substitution t -> t^n, which keeps the lowest terms."""
         if not is_exponent(n) or n < 1:
             raise ValueError("ramification index must be a positive integer")
-        return TPoly._make({p * n: c for p, c in self._nums.items()}, self._den)
+        return TPoly._wrap({p * n: c for p, c in self._nums.items()}, self._den)
 
     def __str__(self) -> str:
         return _format(({0: "", 1: "t"}.get(p, f"t^{p}"), c) for p, c in self.items())
@@ -276,10 +275,7 @@ def _shift(poly: TPoly, k: int) -> TPoly:
     """poly / t^k for k <= poly.order(); only the keys change, so no gcd."""
     if not k:
         return poly
-    shifted = object.__new__(TPoly)
-    shifted._nums = {e - k: c for e, c in poly._nums.items()}
-    shifted._den = poly._den
-    return shifted
+    return TPoly._wrap({e - k: c for e, c in poly._nums.items()}, poly._den)
 
 
 def _cancel(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
@@ -342,11 +338,11 @@ class TRational:
 
     @classmethod
     def one(cls) -> TRational:
-        return cls(TPoly.one())
+        return cls._canonical(TPoly.one(), TPoly.one())
 
     @classmethod
     def t(cls, power: int = 1) -> TRational:
-        return cls(TPoly.t(power))
+        return cls._canonical(TPoly.t(power), TPoly.one())
 
     @property
     def is_zero(self) -> bool:
@@ -376,15 +372,22 @@ class TRational:
         return TRational._canonical(self.num.stretch(n), self.den.stretch(n))
 
     def __sub__(self, scalar: Scalar) -> TRational:
-        """self - c as (num - c*den)/den, taking no gcd.
+        """self - c as (num - c*den)/den, taking no polynomial gcd.
 
+        On the integer forms num = n/a, den = d/b and c = p/q, the new
+        numerator is (n*q*b - p*a*d)/(a*q*b), brought to lowest terms once.
         The pair is canonical as it stands: den is unchanged, and
         gcd(num - c*den, den) = gcd(num, den) = 1.  Subtracting 0 returns self.
         """
         c = exact(scalar)
         if not c:
             return self
-        num = self.num + self.den.scale(-c)
+        (n, a), (d, b) = self.num.integer_form, self.den.integer_form
+        p, q = c.numerator, c.denominator
+        nums = {k: v * q * b for k, v in n.items()}
+        for k, v in d.items():
+            nums[k] = nums.get(k, 0) - p * a * v
+        num = TPoly._make(nums, a * q * b)
         return TRational._canonical(num, self.den) if num else TRational.zero()
 
     def __mul__(self, other: TRational) -> TRational:

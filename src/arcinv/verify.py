@@ -38,10 +38,10 @@ from .contact import (
     sample_multiindices,
     values_bounds,
 )
-from .nash import default_budget, nash_sequence
+from .nash import blowup_step, default_budget, init_directed, nash_sequence
 from .polynomials import Polynomial
 from .qpers import check_limit_identity, q_persistance
-from .rees import ReesAlgebra, diff_saturate
+from .rees import ReesAlgebra, diff_order, diff_saturate
 from .render import format_multiindex, format_rational
 
 
@@ -421,6 +421,45 @@ def check_limit_corpus():
         elif not outcome.passed:
             bad = [row.n for row in outcome.rows if not row.ok]
             failures.append(f"{name}: mismatch at n = {bad}")
+    return details, failures
+
+
+@_check("corpus", "step-identity",
+        "each s_first run at multiplicity b leaves the order r - k after k blow-ups")
+def check_step_identity():
+    """After k blow-ups at multiplicity b, (F_k, gamma_k) has order r - k.
+
+    The order is that of the differential presentation (``rees.diff_order``),
+    read at the end of every ``s_first`` run that keeps the multiplicity at
+    b, on the corpus ramified at n = 1, 2, 3 and on four sampled arcs.
+    """
+    cases = [(f"{name}, n={n}", surface, arc.ramify(n))
+             for name, surface, arc in corpus() for n in (1, 2, 3)]
+    surface = x2y3z6_surface()
+    cases += [(f"sample ({alpha},{beta},0)", surface, sampled_arc(alpha, beta, 0))
+              for alpha, beta in SAMPLE_TYPES[:4]]
+    failures = []
+    details = []
+    for name, surf, arc in cases:
+        r = q_persistance(surf, arc).r
+        budget = default_budget(surf, arc)
+        state = init_directed(surf, arc)
+        steps = []
+        while state.step < budget:
+            state, _ = blowup_step(state, "s_first", budget - state.step)
+            if state.multiplicity < surf.multiplicity:
+                break
+            steps.append(state.step)
+            order = diff_order(Hypersurface(state.transform), Arc(state.lifted))
+            if order != r - state.step:
+                failures.append(
+                    f"{name}: order {format_rational(order)} after {state.step} blow-ups, "
+                    f"want {format_rational(r - state.step)}"
+                )
+        details.append(
+            f"{name}: r = {format_rational(r)}, checked at k = "
+            + (", ".join(map(str, steps)) or "none")
+        )
     return details, failures
 
 

@@ -25,6 +25,7 @@ from arcinv.qpers import q_persistance
 from arcinv.rees import ReesAlgebra, diff_order, diff_saturate
 from arcinv.tseries import TPoly, TRational
 from arcinv.verify import corpus, sampled_arc, x2y3z6_parametrization, x2y3z6_surface
+from test_tseries import plus
 
 XYZ = ("x", "y", "z")
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
@@ -292,7 +293,7 @@ def perturbed_states(draw):
     ]
     # gamma + t^N delta = (num + t^N delta den) / den for gamma = num / den.
     lifted = tuple(
-        TRational(comp.num + delta * comp.den, comp.den)
+        TRational(plus(comp.num, delta * comp.den), comp.den)
         for comp, delta in zip(arc.components, deltas)
     ) + (TRational.t(),)
     transform = surface.f.extend_variables((graph_variable(surface),))

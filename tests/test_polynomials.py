@@ -183,16 +183,19 @@ def leading_term(value):
     return o, c / d0
 
 
-def cancelled_at_the_lowest_weight(p, values):
-    """p (x^a + x^b) for two monomials of one weight, less its lowest-weight coefficient S.
+def cancelled_at_the_lowest_weight(p, values, classes=1):
+    """p (x^a + x^b) for two monomials of one weight, its lowest classes cancelled.
 
     With o_i and l_i the order and leading coefficient of value i, the weight
-    of x^e is e . o.  At least two values must be nonzero, so that x^a and
-    x^b exist.  Multiplying by x^a + x^b leaves at least two terms of the
-    lowest weight among those with no zero value as a factor; subtracting
-    (S / prod_i l_i^(e0_i)) x^e0 for one of them, e0, makes S = 0 while a
-    term of that weight remains.  When every term has such a factor, S is
-    the empty sum and the product is returned as it is.
+    of x^e is e . o, and the terms of one weight with no zero value as a
+    factor form a class, with leading coefficient S = sum of c_e prod_i
+    l_i^(e_i).  At least two values must be nonzero, so that x^a and x^b
+    exist.  Multiplying by x^a + x^b, which maps each class of p to one
+    class, leaves at least two terms in every class; in each of the lowest
+    ``classes`` classes, the balancing term -(S / prod_i l_i^(e0_i)) x^e0
+    for one of them, e0, makes S = 0 while a term of that weight remains.
+    When every term has a zero factor, there is no class and the product
+    is returned as it is.
     """
     leads = [leading_term(v) for v in values]
     live = [i for i, lead in enumerate(leads) if lead is not None]
@@ -211,10 +214,9 @@ def cancelled_at_the_lowest_weight(p, values):
     weight = {e: sum(k * lead[0] for k, lead in zip(e, leads) if k)
               for e, c in terms.items()
               if c and all(lead is not None for k, lead in zip(e, leads) if k)}
-    if weight:
-        low = min(weight.values())
+    monomial = lambda e: math.prod(lead[1] ** k for k, lead in zip(e, leads) if k)
+    for low in sorted(set(weight.values()))[:classes]:
         lowest = sorted(e for e, w in weight.items() if w == low)
-        monomial = lambda e: math.prod(lead[1] ** k for k, lead in zip(e, leads) if k)
         e0 = lowest[0]
         terms[e0] -= sum(terms[e] * monomial(e) for e in lowest) / monomial(e0)
     return Polynomial(p.variables, terms)
@@ -237,6 +239,22 @@ cancellations = st.tuples(low_wide_polys.filter(bool), mixed_values).map(
     lambda pv: (cancelled_at_the_lowest_weight(*pv), pv[1])
 )
 
+# l t^o, with o in 0..3 so that weights collide, and l t^o / (1 + c t^k),
+# which starts the same but is not one term; the lowest one or two classes cancel.
+term_values = st.builds(
+    lambda o, l: TRational(TPoly({o: l})), st.integers(0, 3), some_coeffs.filter(bool)
+)
+over_units = st.builds(
+    lambda o, l, k, c: TRational(TPoly({o: l}), TPoly({0: 1, k: c})),
+    st.integers(0, 3), some_coeffs.filter(bool), st.integers(1, 2), some_coeffs.filter(bool),
+)
+class_values = st.tuples(
+    *[st.one_of(st.just(zero_value), term_values, term_values, over_units)] * 3
+).filter(lambda values: sum(map(bool, values)) >= 2)
+class_cancellations = st.tuples(
+    low_wide_polys.filter(bool), class_values, st.integers(1, 2)
+).map(lambda pvc: (cancelled_at_the_lowest_weight(*pvc), pvc[1]))
+
 
 @contextmanager
 def full_pullbacks():
@@ -249,14 +267,19 @@ def full_pullbacks():
 
 
 @settings(deadline=None)
-@given(st.one_of(cancellations, binomial_pullbacks))
+@given(st.one_of(cancellations, class_cancellations, binomial_pullbacks))
 def test_compose_order_after_a_cancellation_of_the_leading_form(pullback):
-    """One full route, unless every term has a zero factor: then none runs."""
+    """One full route, unless every term has a zero factor or every value is one term.
+
+    Past cancelled lowest classes, one-term values read the order from the
+    weight classes of the pullback and build no numerator.
+    """
     q, values = pullback
     with full_pullbacks() as (parts, evaluated):
         order = q.compose_order(values)
     free = any(all(not k or not v.is_zero for k, v in zip(e, values)) for e in q.terms)
-    assert parts.call_count + evaluated.call_count == int(free)
+    terms = all(v.is_zero or v._is_term() for v in values)
+    assert parts.call_count + evaluated.call_count == int(free and not terms)
     assert order == q.compose(values).t_order()
 
 
@@ -270,10 +293,13 @@ def test_a_zero_factor_in_every_term_runs_no_full_pullback():
 
 
 def test_a_finite_order_runs_no_full_pullback():
-    """Only the membership check of q_persistance, a zero pullback, builds a numerator."""
+    """A monomial arc builds no numerator; along a sampled arc only the membership check does."""
     surface = Hypersurface(Polynomial(VARS, {(2, 3, 0): 1, (0, 0, 6): -1}))
     with full_pullbacks() as (parts, evaluated):
         assert q_persistance(surface, monomial_arc((6, 6, 5))).r == 6
+    assert parts.call_count + evaluated.call_count == 0
+    with full_pullbacks() as (parts, evaluated):
+        assert q_persistance(surface, sampled_arc(1, 1, 0)).r == 6
     calls = parts.call_args_list + evaluated.call_args_list
     assert len(calls) == 1
     assert calls[0].args[0] == surface.f
