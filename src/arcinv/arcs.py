@@ -3,7 +3,11 @@
 An arc is a tuple of rational functions of t, one per ambient coordinate,
 each vanishing at t = 0.  Membership on a hypersurface is checked by exact
 composition: f pulled back along the arc must be identically zero, not just
-zero to high order.
+zero to high order.  An arc keeps the polynomial it was last proved to
+vanish on and answers again for that same object without a second pullback;
+polynomials and arc components are immutable, so the question is the one
+already answered.  Its ramifications keep the proof, since (f o gamma)(t^n)
+is zero with f o gamma.  A pullback that is not zero is never kept.
 
 Families of arcs with prescribed contact behaviour are produced from
 monomial parametrizations of the hypersurface.  Substituting unit-order
@@ -65,7 +69,7 @@ class Hypersurface:
 class Arc:
     """A tuple of rational functions of t, all vanishing at t = 0."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_on")
 
     def __init__(self, components: Sequence[TRational]):
         components = tuple(components)
@@ -79,6 +83,8 @@ class Arc:
                     f"component {i} does not vanish at t = 0; the arc is not centered"
                 )
         self.components = components
+        # The polynomial object this arc was last proved to vanish on.
+        self._on: Polynomial | None = None
 
     def __len__(self) -> int:
         return len(self.components)
@@ -96,16 +102,32 @@ class Arc:
         return int(min(finite))
 
     def ramify(self, n: int) -> Arc:
-        """Precompose with t -> t^n; all contact orders get multiplied by n."""
-        return Arc(tuple(comp.ramify(n) for comp in self.components))
+        """Precompose with t -> t^n; all contact orders get multiplied by n.
+
+        A membership proof carries over, as (f o gamma)(t^n) is zero with f o gamma.
+        """
+        ramified = Arc(tuple(comp.ramify(n) for comp in self.components))
+        ramified._on = self._on
+        return ramified
 
     def lies_on(self, surface: Hypersurface) -> bool:
-        """Exact membership test: f pulled back along the arc is identically 0."""
+        """Exact membership test: f pulled back along the arc is identically 0.
+
+        The arc remembers the polynomial object of its last True answer and
+        returns True for that same object (``is``, not ``==``) with no
+        pullback.  Both are immutable, so that answer stands.  A False answer
+        is never remembered, and the length check comes first on every call.
+        """
         if len(self.components) != surface.ambient_dimension:
             raise PreconditionError(
                 "arc has a different number of components than the ambient space"
             )
-        return surface.f.compose_order(self.components) == math.inf
+        if surface.f is self._on:
+            return True
+        if surface.f.compose_order(self.components) != math.inf:
+            return False
+        self._on = surface.f
+        return True
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Arc):

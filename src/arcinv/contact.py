@@ -191,15 +191,17 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     """Minimal multi-indices with contact >= m against the maximal ideal.
 
     These index the irreducible fat components of the contact locus at level
-    m for toric-style data.  The search scans the box l_i <= bound.  Every
-    minimal element lies in the slab m <= l . c < m + c_i, whose entries are
-    at most m, so any bound >= m gives the same answer; and the slab is never
-    empty, since ceil(m / c_i) * e_i is in it for every c_i > 0.  Equal
-    valuation vectors describe the same divisorial set, so each vector keeps
-    one representative: the lexicographically least multi-index with it,
-    which is the first one the scan meets, as ``itertools.product`` walks the
-    box in lexicographic order.  The output is sorted.  A box over
-    ``MAX_BOX_POINTS`` raises ``BudgetExhausted``.
+    m for toric-style data.  Every minimal element lies in the slab
+    m <= l . c < m + c_i, whose entries are at most m, so any bound >= m gives
+    the same answer, and the search scans the box l_i <= m whatever the
+    bound; ``bound`` is only checked against m and ``MAX_BOX_POINTS``.  The
+    slab is never empty, since ceil(m / c_i) * e_i is in it for every
+    c_i > 0.  Equal valuation vectors describe the same divisorial set, so
+    each vector keeps one representative: the lexicographically least
+    multi-index with it, which is the first one the scan meets, as
+    ``itertools.product`` walks the box in lexicographic order.  The output
+    is sorted.  A box l_i <= bound over ``MAX_BOX_POINTS`` points raises
+    ``BudgetExhausted``.
     """
     if data.coord_val is None:
         raise PreconditionError(
@@ -221,9 +223,11 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
     # A multi-index with l_i >= 1 and contact still >= m after removing one
     # copy of divisor i is dominated by that smaller index, so minimal
     # elements all live in the slab m <= l . c < m + c_i along the support.
-    # The zero index has contact 0 < m, so the filter drops it too.
+    # The zero index has contact 0 < m, so the filter drops it too.  In the
+    # slab, l_i >= 1 forces c_i >= 1 and l_i * c_i < m + c_i, so l_i <= m:
+    # the box l_i <= m holds every slab point, in the same order.
     by_valuation: dict[tuple[int, ...], MultiIndex] = {}
-    for l in itertools.product(range(bound + 1), repeat=n):
+    for l in itertools.product(range(m + 1), repeat=n):
         contact = _dot(l, data.c)
         if contact < m or any(l[i] and contact - data.c[i] >= m for i in range(n)):
             continue

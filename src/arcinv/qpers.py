@@ -30,7 +30,7 @@ from .rees import diff_order
 # Largest step budget of a limit-identity table, summed over its rows: the
 # bundled x2y3z6 arcs (b = 5, nu = 5) at n_max = 400, 8 * 5 * 5 * 80200 steps.
 # As a whole process on a 2-vCPU Xeon VM, at one advance per run of blow-ups,
-# the table takes 0.2-0.4 s on the monomial arcs and 1.0-1.4 s on
+# the table takes 0.2-0.4 s on the monomial arcs and 0.7-0.9 s on
 # arc_sampled_1_1_0.
 MAX_TABLE_STEPS = 16_040_000
 

@@ -431,13 +431,17 @@ def check_step_identity():
 
     The order is that of the differential presentation (``rees.diff_order``),
     read at the end of every ``s_first`` run that keeps the multiplicity at
-    b, on the corpus ramified at n = 1, 2, 3 and on four sampled arcs.
+    b, on the corpus ramified at n = 1, 2, 3, on four sampled arcs, and on a
+    sampled arc of x y^3 - z^3 (r = 3/2) and its ramification by 4.
     """
     cases = [(f"{name}, n={n}", surface, arc.ramify(n))
              for name, surface, arc in corpus() for n in (1, 2, 3)]
     surface = x2y3z6_surface()
     cases += [(f"sample ({alpha},{beta},0)", surface, sampled_arc(alpha, beta, 0))
               for alpha, beta in SAMPLE_TYPES[:4]]
+    xy3 = Hypersurface(Polynomial(XYZ, {(1, 3, 0): 1, (0, 0, 3): -1}))
+    xy3_arc = sample_binomial_arc(xy3, [(3, 0, 1), (0, 1, 1)], (1, 1), 0)
+    cases += [(f"xy3-z3 sample (1,1,0), n={n}", xy3, xy3_arc.ramify(n)) for n in (1, 4)]
     failures = []
     details = []
     for name, surf, arc in cases:

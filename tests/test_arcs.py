@@ -68,6 +68,68 @@ def test_ramify_multiplies_orders(n):
     assert arc.ramify(n).lies_on(QUINTIC)
 
 
+@pytest.fixture
+def pullbacks(monkeypatch):
+    """The polynomials pulled back through ``compose_order``, in call order."""
+    calls = []
+    compose_order = Polynomial.compose_order
+
+    def counted(self, values):
+        calls.append(self)
+        return compose_order(self, values)
+
+    monkeypatch.setattr(Polynomial, "compose_order", counted)
+    return calls
+
+
+def test_a_proved_arc_answers_again_without_a_pullback(pullbacks):
+    arc = monomial_arc((3, 2, 2))
+    assert arc.lies_on(QUINTIC)
+    assert arc.lies_on(QUINTIC)
+    assert arc.lies_on(Hypersurface(QUINTIC.f))
+    assert pullbacks == [QUINTIC.f]
+
+
+def test_an_arc_off_the_surface_is_pulled_back_every_time(pullbacks):
+    arc = monomial_arc((3, 2, 1))
+    for _ in range(3):
+        assert not arc.lies_on(QUINTIC)
+    assert not arc.ramify(2).lies_on(QUINTIC)
+    assert pullbacks == [QUINTIC.f] * 4
+
+
+def test_a_proof_answers_only_for_its_own_polynomial_object(pullbacks):
+    arc = monomial_arc((3, 2, 2))
+    assert arc.lies_on(QUINTIC)
+    equal = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
+    assert equal.f == QUINTIC.f and equal.f is not QUINTIC.f
+    assert arc.lies_on(equal)
+    other = Hypersurface(Polynomial(XYZ, {(1, 0, 0): 1}))
+    assert not arc.lies_on(other)
+    assert pullbacks == [QUINTIC.f, equal.f, other.f]
+    # The latest proof is the one kept: QUINTIC.f is proved again.
+    assert arc.lies_on(QUINTIC)
+    assert pullbacks[3:] == [QUINTIC.f]
+
+
+def test_ramification_keeps_a_proof_and_makes_none(pullbacks):
+    proved = monomial_arc((3, 2, 2))
+    assert proved.lies_on(QUINTIC)
+    assert proved.ramify(3).ramify(2).lies_on(QUINTIC)
+    assert pullbacks == [QUINTIC.f]
+    assert monomial_arc((3, 2, 2)).ramify(3).lies_on(QUINTIC)
+    assert pullbacks == [QUINTIC.f] * 2
+
+
+def test_the_length_check_comes_before_a_kept_proof():
+    # No public call pairs a proof with a polynomial of another arity, so
+    # the slot is forged to pin the order of the checks.
+    arc = monomial_arc((1, 1))
+    arc._on = QUINTIC.f
+    with pytest.raises(PreconditionError):
+        arc.lies_on(QUINTIC)
+
+
 def test_parametrization_identity_accepted():
     par = MonomialParametrization([(3, 0, 1), (0, 2, 1)])
     par.check_identity(QUINTIC)

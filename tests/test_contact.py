@@ -295,3 +295,24 @@ def test_oversized_boxes_are_refused_before_the_scan(monkeypatch):
     assert delta_limit_check(EXAMPLE, 4).passed
     with pytest.raises(BudgetExhausted):
         delta_limit_check(EXAMPLE, 5)
+
+
+@pytest.mark.parametrize("data,m", [(EXAMPLE, 13), (THREE_DIVISORS, 6)])
+def test_the_search_bound_costs_nothing(monkeypatch, data, m):
+    """The scan covers the box l_i <= m at any bound, so a larger one adds no work.
+
+    ``_dot`` is counted, not ``_valuation``: every scanned point takes its
+    contact l . c, while only slab points, the same at any bound, are valued.
+    """
+    calls = []
+    dot = arcinv.contact._dot
+
+    def counted(a, b):
+        calls.append(a)
+        return dot(a, b)
+
+    monkeypatch.setattr(arcinv.contact, "_dot", counted)
+    at_m = fat_components(data, m, m)
+    scanned = len(calls)
+    assert fat_components(data, m, 4 * m) == at_m
+    assert len(calls) == 2 * scanned

@@ -51,8 +51,8 @@ def test_arc_must_lie_on_the_surface():
         q_persistance(QUINTIC, monomial_arc((1, 1, 1)))
 
 
-def test_the_equation_is_pulled_back_once_per_call(monkeypatch):
-    """Membership proves that f pulls back to zero; the order needs no second pullback."""
+def test_the_equation_is_pulled_back_once_per_arc(monkeypatch):
+    """Membership is proved once per arc; a refusal pulls back on every call."""
     calls = []
     compose_order = Polynomial.compose_order
 
@@ -66,11 +66,12 @@ def test_the_equation_is_pulled_back_once_per_call(monkeypatch):
     assert q_persistance(QUINTIC, arc).r == 6
     assert len(calls) == 1
     assert nash_sequence(QUINTIC, arc).rho == 6
-    assert len(calls) == 2
+    assert len(calls) == 1
+    off = monomial_arc((1, 1, 1))
     for run in (q_persistance, nash_sequence):
         with pytest.raises(PreconditionError):
-            run(QUINTIC, monomial_arc((1, 1, 1)))
-    assert len(calls) == 4
+            run(QUINTIC, off)
+    assert len(calls) == 3
 
 
 def test_variable_count_checked():
