@@ -22,9 +22,11 @@ cancellation in the least class, or a zero pullback, needs the full
 numerator num(t), and it takes one of two routes, chosen from the values.
 When every value is dense (numerator and denominator each of degree below
 twice their term count, zero included), num is evaluated at t = 2^W by the
-same nested sum over Python integers: W is a bound on the bit length of
-num's coefficients, so each fills its own slot of W bits, the value is 0
-exactly when num is, and otherwise its 2-adic valuation over W is the order.
+same nested sum over Python integers, once its scalar content is divided out:
+each value's scalar is folded into the coefficients and their gcd removed.
+W is a bound on the bit length of the coefficients of what remains, a
+positive multiple of num, so each fills its own slot of W bits, the value is
+0 exactly when num is, and otherwise its 2-adic valuation over W is the order.
 Other sparse values, such as ramified sampled arcs, whose slots would be
 mostly empty, build num as a map of powers (``_compose_parts``).
 
@@ -68,6 +70,12 @@ def _integer_parts(value: TRational) -> tuple[Terms, Terms]:
     """(P, Q) with value = P / Q over the integers: n(t)/a over d(t)/b is b*n over a*d."""
     (n, a), (d, b) = value.num.integer_form, value.den.integer_form
     return {k: c * b for k, c in n.items()}, {k: c * a for k, c in d.items()}
+
+
+def _primitive(terms: dict) -> tuple[int, dict]:
+    """(c, terms / c) for the content c > 0 of a map to integers; c = 1 for the zero map."""
+    c = math.gcd(*terms.values()) or 1
+    return c, terms if c == 1 else {k: v // c for k, v in terms.items()}
 
 
 def _dense(values: Sequence[TRational]) -> bool:
@@ -340,46 +348,71 @@ class Polynomial:
     def _evaluated_order(self, values: Sequence[TRational]) -> int | float:
         """Order of the pullback's numerator, read from its value at t = 2^W.
 
-        With x_i = P_i / Q_i (``_integer_parts``), M_i the top power of
-        variable i and N the number of terms, num = sum_e c_e prod_i
-        P_i^(e_i) Q_i^(M_i - e_i) is evaluated at t = 2^W, through the nested
-        sum of ``_compose_parts`` over integers, where
+        Value i = n(t)/a over d(t)/b is a scalar times a quotient of primitive
+        integer polynomials.  With c_n, c_d > 0 the contents of n and d (c_n = 1
+        for the zero value), n = c_n p_i and d = c_d q_i; with g_i = gcd(b c_n,
+        a c_d), alpha_i = b c_n / g_i and beta_i = a c_d / g_i, the parts of
+        ``_integer_parts`` are P_i = b n = g_i alpha_i p_i and Q_i = a d =
+        g_i beta_i q_i.  With M_i the top power of variable i, each coefficient
+        takes in its scalars, c_e prod_i alpha_i^(e_i) beta_i^(M_i - e_i), and
+        C_e is that divided by G, the gcd of all of them.  So
 
-            W = bitlen N + max_e [bitlen c_e
-                + sum_i (e_i bitlen |P_i|_1 + (M_i - e_i) bitlen |Q_i|_1)],
+            num = sum_e c_e prod_i P_i^(e_i) Q_i^(M_i - e_i)
+                = G prod_i g_i^(M_i) sum_e C_e prod_i p_i^(e_i) q_i^(M_i - e_i),
 
-        bitlen x the bit length of |x|, so |x| < 2^(bitlen x), and |.|_1 the
-        sum of the absolute values of the coefficients.  Proof that the order
-        read off is exact: a coefficient of a product is at most the product
-        of the factors' |.|_1, so each term's coefficients are below
-        2^(W - bitlen N), and every coefficient a_k of num, an integer,
-        satisfies |a_k| < N 2^(W - bitlen N) <= 2^W.  So v = num(2^W) =
-        sum_k a_k 2^(kW).  If num = 0, v = 0.  Otherwise, with o = ord num,
-        v = 2^(oW) (a_o + 2^W m) for an integer m, and 0 < |a_o| < 2^W gives
-        v_2(a_o) < W: hence v != 0 and v_2(v) = oW + v_2(a_o), whose quotient
-        by W is o.  So v = 0 exactly when num = 0, and ord num = v_2(v) // W
-        otherwise.  This is a proof, not a probabilistic test: the zero check
-        stays exact.
+        and G >= 1, as no c_e, alpha_i or beta_i is 0.  The last sum, num', is
+        a positive rational multiple of num: it is 0 exactly when num is, and
+        otherwise has the same order.  It is evaluated at t = 2^W, through the
+        nested sum of ``_compose_parts`` over integers, where
+
+            W = bitlen N + max_e [bitlen C_e
+                + sum_i (e_i bitlen |p_i|_1 + (M_i - e_i) bitlen |q_i|_1)],
+
+        N the number of terms, bitlen x the bit length of |x|, so |x| <
+        2^(bitlen x), and |.|_1 the sum of the absolute values of the
+        coefficients.  Dividing out the scalars narrows W, since the terms
+        share most of them.  Proof that the order read off is exact: a
+        coefficient of a product is at most the product of the factors'
+        |.|_1, so each term's coefficients are below 2^(W - bitlen N), and
+        every coefficient a_k of num', an integer, satisfies |a_k| <
+        N 2^(W - bitlen N) <= 2^W.  So v = num'(2^W) = sum_k a_k 2^(kW).  If
+        num' = 0, v = 0.  Otherwise, with o = ord num', v = 2^(oW) (a_o + 2^W m)
+        for an integer m, and 0 < |a_o| < 2^W gives v_2(a_o) < W: hence v != 0
+        and v_2(v) = oW + v_2(a_o), whose quotient by W is o.  So v = 0
+        exactly when num = 0, and ord num = v_2(v) // W otherwise.  This is a
+        proof, not a probabilistic test: the zero check stays exact.
         """
         if not self._nums:
             return math.inf
-        parts = [_integer_parts(value) for value in values]
         columns = list(zip(*self._nums))
         tops = [max(column) for column in columns]
+        parts, folds = [], []
+        for i, (value, top, column) in enumerate(zip(values, tops, columns)):
+            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
+            (c_n, p), (c_d, q) = _primitive(n), _primitive(d)
+            g = math.gcd(b * c_n, a * c_d)
+            alpha, beta = b * c_n // g, a * c_d // g
+            parts.append((p, q))
+            if alpha != 1 or beta != 1:
+                folds.append((i, {k: alpha**k * beta ** (top - k) for k in set(column)}))
+        coeffs = self._nums
+        for i, scale in folds:
+            coeffs = {e: c * scale[e[i]] for e, c in coeffs.items()}
+        _, coeffs = _primitive(coeffs)
         bits = [
             (sum(map(abs, p.values())).bit_length(), sum(map(abs, q.values())).bit_length())
             for p, q in parts
         ]
-        width = len(self._nums).bit_length() + max(
+        width = len(coeffs).bit_length() + max(
             abs(c).bit_length()
             + sum(k * bp + (top - k) * bq for k, top, (bp, bq) in zip(e, tops, bits))
-            for e, c in self._nums.items()
+            for e, c in coeffs.items()
         )
         factors: list[dict[int, int]] = []
         for (p, q), top, column in zip(parts, tops, columns):
             p_at, q_at = _at_power_of_two(p, width), _at_power_of_two(q, width)
             factors.append({k: p_at**k * q_at ** (top - k) for k in set(column)})
-        level = self._nums
+        level = coeffs
         for i in reversed(range(len(factors))):
             upper: dict[Exponent, int] = {}
             for prefix, inner in level.items():

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arcinv import polynomials
 from arcinv.arcs import Hypersurface, monomial_arc
 from arcinv.nash import nash_sequence, persistance
 from arcinv.polynomials import Polynomial
@@ -132,10 +133,19 @@ wide_polys = st.one_of(
 )
 wide_values = st.one_of(st.just(zero_value), wide_tpolys.map(TRational), quotients)
 
-# u = n/d with n dense from order 1 or 2 on, as sample_binomial_arc builds it.
+# u = s n/d with n dense from order 1 or 2 on, as sample_binomial_arc builds
+# it, d constant or not, and s a scalar of about 60 bits over about 60 bits,
+# so that each value carries its own large scalar, which the evaluation at
+# t = 2^W folds into the coefficients.
+scalars = st.tuples(
+    st.integers(2**59, 2**61), st.sampled_from((-1, 1)), st.integers(2**59, 2**61)
+).map(lambda nsd: Fraction(nsd[0] * nsd[1], nsd[2]))
 dense_quotients = st.tuples(
-    st.integers(1, 2), st.lists(some_coeffs.filter(bool), min_size=4, max_size=4), unit_tpolys
-).map(lambda parts: TRational(TPoly({parts[0] + k: c for k, c in enumerate(parts[1])}), parts[2]))
+    st.integers(1, 2), st.lists(some_coeffs.filter(bool), min_size=4, max_size=4), scalars,
+    st.one_of(st.just(TPoly.one()), unit_tpolys),
+).map(lambda parts: TRational(
+    TPoly({parts[0] + k: parts[2] * c for k, c in enumerate(parts[1])}), parts[3]
+))
 
 
 def binomial_pullback(a, b, c, scale, shift, u, v):
@@ -153,14 +163,6 @@ binomial_pullbacks = st.builds(
     binomial_pullback, exponent, exponent, exponent, some_coeffs.filter(bool), coeffs,
     dense_quotients, dense_quotients,
 )
-
-
-@settings(deadline=None)
-@given(st.one_of(st.tuples(wide_polys, st.tuples(wide_values, wide_values, wide_values)),
-                 binomial_pullbacks))
-def test_compose_order_agrees_with_compose(pullback):
-    p, values = pullback
-    assert p.compose_order(values) == p.compose(values).t_order()
 
 
 @settings(deadline=None)
@@ -256,6 +258,23 @@ class_cancellations = st.tuples(
 ).map(lambda pvc: (cancelled_at_the_lowest_weight(*pvc), pvc[1]))
 
 
+# Dense values with large scalars, one of them maybe zero, their lowest class
+# cancelled, so that the order is read at t = 2^W.
+dense_cancellations = st.tuples(
+    low_wide_polys.filter(bool),
+    st.tuples(dense_quotients, dense_quotients, st.one_of(st.just(zero_value), dense_quotients))
+    .flatmap(st.permutations),
+).map(lambda pv: (cancelled_at_the_lowest_weight(*pv), pv[1]))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(wide_polys, st.tuples(wide_values, wide_values, wide_values)),
+                 binomial_pullbacks, dense_cancellations))
+def test_compose_order_agrees_with_compose(pullback):
+    p, values = pullback
+    assert p.compose_order(values) == p.compose(values).t_order()
+
+
 @contextmanager
 def full_pullbacks():
     """Spies on the two routes of a full pullback: (_compose_parts, _evaluated_order)."""
@@ -316,6 +335,27 @@ def test_only_dense_values_evaluate_the_pullback():
         nash_sequence(surface, sampled_arc(1, 1, 0).ramify(50))
     assert parts.call_count > 0
     assert evaluated.call_count == 0
+
+
+def test_the_scalars_of_the_values_leave_the_slot_width():
+    """W of two dense pullbacks on x^2 y^3 - z^6, at most 2/3 of W with the scalars kept.
+
+    With each value's scalar raised in every term, W is 181 for the membership
+    of sampled_arc(1, 0, 0) and 704 for the 92-term final check of
+    lowest_index along sampled_arc(1, 1, 0).  Folded into the coefficients,
+    the scalars share a gcd, which is divided out before W is taken.
+    """
+    surface = x2y3z6_surface()
+    at_power_of_two = mock.patch.object(
+        polynomials, "_at_power_of_two", wraps=polynomials._at_power_of_two
+    )
+    with at_power_of_two as at:
+        assert sampled_arc(1, 0, 0).lies_on(surface)
+    assert max(call.args[1] for call in at.call_args_list) <= 181 * 2 / 3
+    with full_pullbacks() as (_, evaluated), at_power_of_two as at:
+        nash_sequence(surface, sampled_arc(1, 1, 0), tie_break="lowest_index")
+    assert len(evaluated.call_args_list[-1].args[0].terms) == 92
+    assert at.call_args_list[-1].args[1] <= 704 * 2 / 3
 
 
 def per_term_parts(p, values):
