@@ -13,7 +13,7 @@ ends in exit code 141.
 import argparse
 import sys
 
-from arcinv.cli import build_parser, jobspec_from_args, run, stdout_closed
+from arcinv.cli import build_parser, run, stdout_closed
 from arcinv.contact import (
     delta_limit_check,
     fat_components,
@@ -62,7 +62,7 @@ def odd_levels() -> None:
     for n in ODD_LEVELS:
         row = ", ".join(
             f"{format_multiindex(l)} -> {format_rational(rbar_of_multiindex(data, l))}"
-            for l in fat_components(data, n, n)
+            for l in fat_components(data, n)
         )
         print(f"  m = {n}: {row}")
 
@@ -100,7 +100,7 @@ def main() -> int:
     odd_levels()
     bounds_report()
     arc_report()
-    report, code = run(jobspec_from_args(build_parser().parse_args(["verify", "x2y3z6"])))
+    report, code = run(build_parser().parse_args(["verify", "x2y3z6"]))
     if code:
         print("\n" + report)
     return code

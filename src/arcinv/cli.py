@@ -145,14 +145,16 @@ def _cmd_contact(job: argparse.Namespace) -> Outcome:
     if job.m is None and job.m_max is None:
         raise DocumentError("contact needs --m (one level) or --m-max (a table)")
     if job.bound is not None and job.m is None:
-        raise DocumentError("contact --bound sets the side of the --m search box; give both")
+        raise DocumentError("contact --bound is checked against --m and echoed; give both")
     result: dict = {"command": "contact"}
     code = EXIT_OK
     if job.m is not None:
         bound = job.bound if job.bound is not None else job.m
+        if bound < job.m:
+            raise PreconditionError("the search bound must be at least m")
         components = [
             {"l": l, "r_bar": rbar_of_multiindex(data, l)}
-            for l in fat_components(data, job.m, bound)
+            for l in fat_components(data, job.m)
         ]
         result.update(m=job.m, bound=bound, components=components,
                       delta=min(c["r_bar"] for c in components))
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", required=True, type=Path)
     p.add_argument("--m", type=int, help="contact level")
     p.add_argument("--m-max", type=int, help="delta table up to this level")
-    p.add_argument("--bound", type=int, help="side of the --m search box (>= m)")
+    p.add_argument("--bound", type=int, help="at least --m; only checked and echoed")
     add_format(p)
 
     p = sub.add_parser("bounds", help="bounds on the normalized order")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def jobspec_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """The job ``run`` takes: the parsed arguments themselves."""
+    """The job ``run`` takes, the parsed arguments themselves; ``bench/workloads.py`` calls it."""
     return args
 
 
@@ -335,7 +337,7 @@ def stdout_closed() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    report, code = run(jobspec_from_args(args))
+    report, code = run(args)
     try:
         print(report, flush=True)
     except BrokenPipeError:

@@ -187,21 +187,19 @@ def dominates(data: ResolutionData, l1: Sequence[int], l2: Sequence[int]) -> boo
     )
 
 
-def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]:
+def fat_components(data: ResolutionData, m: int) -> list[MultiIndex]:
     """Minimal multi-indices with contact >= m against the maximal ideal.
 
     These index the irreducible fat components of the contact locus at level
     m for toric-style data.  Every minimal element lies in the slab
-    m <= l . c < m + c_i, whose entries are at most m, so any bound >= m gives
-    the same answer, and the search scans the box l_i <= m whatever the
-    bound; ``bound`` is only checked against m and ``MAX_BOX_POINTS``.  The
-    slab is never empty, since ceil(m / c_i) * e_i is in it for every
-    c_i > 0.  Equal valuation vectors describe the same divisorial set, so
-    each vector keeps one representative: the lexicographically least
-    multi-index with it, which is the first one the scan meets, as
-    ``itertools.product`` walks the box in lexicographic order.  The output
-    is sorted.  A box l_i <= bound over ``MAX_BOX_POINTS`` points raises
-    ``BudgetExhausted``.
+    m <= l . c < m + c_i, whose entries are at most m, so the search scans
+    the box l_i <= m.  The slab is never empty, since ceil(m / c_i) * e_i is
+    in it for every c_i > 0.  Equal valuation vectors describe the same
+    divisorial set, so each vector keeps one representative: the
+    lexicographically least multi-index with it, the first one the scan
+    meets, as ``itertools.product`` walks the box in lexicographic order.
+    The output is sorted.  A box of (m + 1)^N points over
+    ``MAX_BOX_POINTS`` raises ``BudgetExhausted``.
     """
     if data.coord_val is None:
         raise PreconditionError(
@@ -209,23 +207,21 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
         )
     if m < 1:
         raise PreconditionError("the contact level m must be a positive integer")
-    if bound < m:
-        raise PreconditionError("the search bound must be at least m")
     n = data.num_divisors
     for i in range(n):
         if all(row[i] == 0 for row in data.coord_val):
             raise PreconditionError(
                 f"divisor {i} has zero valuation on every coordinate"
             )
-    if (bound + 1) ** n > MAX_BOX_POINTS:
-        raise _over_box_limit(f"the search box {bound + 1}^{n}")
+    if (m + 1) ** n > MAX_BOX_POINTS:
+        raise _over_box_limit(f"the search box {m + 1}^{n}")
 
     # A multi-index with l_i >= 1 and contact still >= m after removing one
     # copy of divisor i is dominated by that smaller index, so minimal
     # elements all live in the slab m <= l . c < m + c_i along the support.
     # The zero index has contact 0 < m, so the filter drops it too.  In the
     # slab, l_i >= 1 forces c_i >= 1 and l_i * c_i < m + c_i, so l_i <= m:
-    # the box l_i <= m holds every slab point, in the same order.
+    # the box l_i <= m holds every slab point.
     by_valuation: dict[tuple[int, ...], MultiIndex] = {}
     for l in itertools.product(range(m + 1), repeat=n):
         contact = _dot(l, data.c)
@@ -241,7 +237,7 @@ def fat_components(data: ResolutionData, m: int, bound: int) -> list[MultiIndex]
 
 def delta(data: ResolutionData, m: int) -> Fraction | float:
     """Smallest normalized order among the fat components at contact level m."""
-    return min(rbar_of_multiindex(data, l) for l in fat_components(data, m, m))
+    return min(rbar_of_multiindex(data, l) for l in fat_components(data, m))
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ def delta_limit_check(data: ResolutionData, m_max: int) -> DeltaCheck:
     c_max = max(data.c)
     rows: list[DeltaRow] = []
     for m in range(1, m_max + 1):
-        components = tuple(fat_components(data, m, m))
+        components = tuple(fat_components(data, m))
         value = min(rbar_of_multiindex(data, l) for l in components)
         ok = order <= value <= order * (1 + Fraction(c_max, m))
         rows.append(DeltaRow(m, value, ok, components))

@@ -205,7 +205,7 @@ def check_odd_levels():
     details = []
     for n in (11, 13, 17, 19, 23):
         m = (n - 1) // 2
-        components = fat_components(data, n, n)
+        components = fat_components(data, n)
         values = {l: rbar_of_multiindex(data, l) for l in components}
         details.append(
             f"n={n}: components "

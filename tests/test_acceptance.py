@@ -171,7 +171,7 @@ def prop_domination_preorder_and_antichain(l1, l2, l3, m):
     assert dominates(data, l1, l1)
     if dominates(data, l1, l2) and dominates(data, l2, l3):
         assert dominates(data, l1, l3)
-    components = fat_components(data, m, m + max(data.c))
+    components = fat_components(data, m)
     for u in components:
         for v in components:
             if u != v:

@@ -114,6 +114,19 @@ def test_contact_level(docs, capsys):
     assert "delta_13 = 14/13" in out
 
 
+def test_contact_bound_is_only_checked_and_echoed(docs, capsys):
+    level = ["contact", "--resolution", docs["resolution"], "--m", "13", "--format", "machine"]
+    assert main(level) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(level + ["--bound", "3200"]) == 0
+    bounded = json.loads(capsys.readouterr().out)
+    assert bounded["bound"] == 3200
+    for key in ("components", "delta"):
+        assert bounded[key] == plain[key]
+    assert main(level[:-2] + ["--bound", "12"]) == 3
+    assert "the search bound must be at least m" in capsys.readouterr().out
+
+
 def test_contact_delta_table(docs, capsys):
     code = main(["contact", "--resolution", docs["resolution"], "--m-max", "12"])
     out = capsys.readouterr().out
@@ -133,7 +146,7 @@ def test_contact_needs_a_level(docs, capsys):
         (["qpers", "--surface", "surface", "--arc", "arc", "--budget", "1"],
          "qpers --budget bounds the rows of --n-max"),
         (["contact", "--resolution", "resolution", "--m-max", "3", "--bound", "1"],
-         "contact --bound sets the side of the --m search box"),
+         "contact --bound is checked against --m and echoed; give both"),
     ],
     ids=["qpers-budget-without-n-max", "contact-bound-without-m"],
 )

@@ -1,7 +1,8 @@
 """Contact-locus arithmetic from resolution data.
 
-fat_components prunes its search to a slab near the contact level; the
-brute-force oracle below searches the whole box and must always agree.
+fat_components prunes its search to a slab near the contact level, inside
+the box of side m; the brute-force oracle below searches the larger box of
+side m + max(c) with no pruning and must always agree.
 """
 
 import itertools
@@ -133,7 +134,7 @@ def test_dominates_needs_coordinate_valuations():
     with pytest.raises(PreconditionError):
         dominates(bare, (1, 0), (0, 1))
     with pytest.raises(PreconditionError):
-        fat_components(bare, 2, 4)
+        fat_components(bare, 2)
 
 
 small_indices = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any)
@@ -151,8 +152,7 @@ def test_dominates_is_a_preorder(l1, l2, l3):
 )
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 13])
 def test_fat_components_match_the_brute_force(data, m):
-    bound = m + max(data.c)
-    assert fat_components(data, m, bound) == brute_fat_components(data, m, bound)
+    assert fat_components(data, m) == brute_fat_components(data, m, m + max(data.c))
 
 
 @pytest.mark.parametrize(
@@ -160,7 +160,7 @@ def test_fat_components_match_the_brute_force(data, m):
 )
 @pytest.mark.parametrize("m", [1, 3, 7, 12])
 def test_fat_components_are_an_antichain(data, m):
-    comps = fat_components(data, m, m + max(data.c))
+    comps = fat_components(data, m)
     for l1 in comps:
         for l2 in comps:
             if l1 != l2:
@@ -190,12 +190,12 @@ def small_resolutions(draw):
 def test_fat_components_match_the_brute_force_on_random_data(data, m):
     bound = m + max(data.c)
     assume((bound + 1) ** data.num_divisors <= 3000)
-    assert fat_components(data, m, bound) == brute_fat_components(data, m, bound)
+    assert fat_components(data, m) == brute_fat_components(data, m, bound)
 
 
 def test_fat_components_frozen_odd_levels():
-    assert fat_components(EXAMPLE, 11, 11) == [(1, 3), (4, 1)]
-    assert fat_components(EXAMPLE, 13, 13) == [(2, 3), (5, 1)]
+    assert fat_components(EXAMPLE, 11) == [(1, 3), (4, 1)]
+    assert fat_components(EXAMPLE, 13) == [(2, 3), (5, 1)]
     assert rbar_of_multiindex(EXAMPLE, (5, 1)) == Fraction(14, 13)
 
 
@@ -222,7 +222,7 @@ def test_delta_envelope():
     assert check.order == 1
     for row in check.rows:
         assert check.order <= row.value <= check.order * (1 + Fraction(3, row.m))
-        assert row.components == tuple(fat_components(EXAMPLE, row.m, row.m))
+        assert row.components == tuple(fat_components(EXAMPLE, row.m))
 
 
 def test_hironaka_order_frozen():
@@ -288,31 +288,10 @@ def test_single_generator_bounds_are_the_per_divisor_extremes(data):
 
 def test_oversized_boxes_are_refused_before_the_scan(monkeypatch):
     monkeypatch.setattr(arcinv.contact, "MAX_BOX_POINTS", 54)
-    assert fat_components(EXAMPLE, 5, 6) == fat_components(EXAMPLE, 5, 5)  # 7^2 points
+    assert fat_components(EXAMPLE, 6) == [(0, 2), (3, 0)]  # 7^2 = 49 points
     with pytest.raises(BudgetExhausted):
-        fat_components(EXAMPLE, 5, 7)  # 8^2 = 64 points
+        fat_components(EXAMPLE, 7)  # 8^2 = 64 points
     # 2^2 + 3^2 + 4^2 + 5^2 = 54 points up to m = 4, and 90 up to m = 5.
     assert delta_limit_check(EXAMPLE, 4).passed
     with pytest.raises(BudgetExhausted):
         delta_limit_check(EXAMPLE, 5)
-
-
-@pytest.mark.parametrize("data,m", [(EXAMPLE, 13), (THREE_DIVISORS, 6)])
-def test_the_search_bound_costs_nothing(monkeypatch, data, m):
-    """The scan covers the box l_i <= m at any bound, so a larger one adds no work.
-
-    ``_dot`` is counted, not ``_valuation``: every scanned point takes its
-    contact l . c, while only slab points, the same at any bound, are valued.
-    """
-    calls = []
-    dot = arcinv.contact._dot
-
-    def counted(a, b):
-        calls.append(a)
-        return dot(a, b)
-
-    monkeypatch.setattr(arcinv.contact, "_dot", counted)
-    at_m = fat_components(data, m, m)
-    scanned = len(calls)
-    assert fat_components(data, m, 4 * m) == at_m
-    assert len(calls) == 2 * scanned
