@@ -30,24 +30,37 @@ positive multiple of num, so each fills its own slot of W bits, the value is
 Other sparse values, such as ramified sampled arcs, whose slots would be
 mostly empty, build num as a map of powers (``_compose_parts``).
 
-Coefficients are kept in the integer form of ``TPoly`` (numerators over one
-denominator, in lowest terms) by the same ``tseries`` helpers; ``terms`` and
-``items()`` show them as ``Fraction``s.  No floats enter at any point
-(``exact`` refuses them), which is what makes the order computations exact.
+Coefficients are integer numerators over one denominator, in lowest terms,
+kept by the ``tseries`` helpers; ``terms`` and ``items()`` show them as
+``Fraction``s.  Values along an arc are read as ``TRational`` stores them, as
+coprime integer pairs p_i/q_i, whose shared maps nothing here writes into.
+No floats enter at any point (``exact`` refuses them), which is what makes
+the order computations exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .tseries import _UNIT, Terms, TPoly, TRational, _at_power_of_two, _convolve, _format
-from .tseries import _lcm_form, _lowest, exact, is_exponent
+from .errors import BudgetExhausted
+from .tseries import _UNIT, Terms, TRational, _at_power_of_two, _convolve, _format, _lcm_form
+from .tseries import _lowest, _reduced, _times, exact, is_exponent
 
 Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
+
+# Largest output ``translate`` expands, as measured by ``_translate_size``.  Near
+# the cap, on a 2-vCPU Xeon VM, x^12000 - y^12000 + x^2 - y^2 (9.6 * 10^8)
+# moved by (1, 1) in 0.15 s and 61 MB peak RSS, and the 101 terms of degree
+# 100 (8.3 * 10^8) by (1/3, -2/5) in 0.21 s and 17 MB.  The largest translate
+# of the verify suites and the checks past the drop is 1.0 * 10^8 (4,843
+# terms); at exponent 10^5 the first surface would need 6 * 10^10.
+MAX_TRANSLATE_SIZE = 10**9
+# A term weighs this many bits on top of its coefficient's: the dict slot,
+# exponent tuple and integer it is stored in.
+_TERM_BITS = 4096
 
 
 def _checked(variables: Sequence[str], exponents: Iterable) -> tuple[str, ...]:
@@ -61,15 +74,27 @@ def _checked(variables: Sequence[str], exponents: Iterable) -> tuple[str, ...]:
     return variables
 
 
-def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two maps from powers of t to integers; free when one is 1."""
-    return b if a == _UNIT else a if b == _UNIT else _convolve(a, b)
+def _translate_size(nums: dict[Exponent, int], shifts: Sequence[Fraction]) -> int:
+    """An upper bound on the size of the translate of nums by shifts.
 
-
-def _integer_parts(value: TRational) -> tuple[Terms, Terms]:
-    """(P, Q) with value = P / Q over the integers: n(t)/a over d(t)/b is b*n over a*d."""
-    (n, a), (d, b) = value.num.integer_form, value.den.integer_form
-    return {k: c * b for k, c in n.items()}, {k: c * a for k, c in d.items()}
+    Shifting variable i turns a term c*x^e into at most e_i + 1 terms, whose
+    coefficients gain at most e_i bits from a binomial and top_i * bitlen
+    shift_i bits from powers of the shift's numerator and denominator, top_i
+    the top power of variable i.  Each term weighs ``_TERM_BITS`` more.
+    """
+    moved = [
+        (i, max(e[i] for e in nums) * max(abs(s.numerator), s.denominator).bit_length())
+        for i, s in enumerate(shifts)
+        if s and nums
+    ]
+    size = 0
+    for e, c in nums.items():
+        count, bits = 1, _TERM_BITS + c.bit_length()
+        for i, shift_bits in moved:
+            count *= e[i] + 1
+            bits += e[i] + shift_bits
+        size += count * bits
+    return size
 
 
 def _primitive(terms: dict) -> tuple[int, dict]:
@@ -86,19 +111,19 @@ def _dense(values: Sequence[TRational]) -> bool:
     full.  ``compose_order`` asks only when some value has two terms or more.
     """
     return all(
-        not nums or max(nums) < 2 * len(nums)
+        not terms or max(terms) < 2 * len(terms)
         for value in values
-        for nums in (value.num.integer_form[0], value.den.integer_form[0])
+        for terms in value.integer_form
     )
 
 
 def _leads(values: Sequence[TRational]) -> list[tuple[int, int, int] | None]:
-    """(o_i, n(o_i) b, a d(0)) per value, None for zero (``compose_order``)."""
+    """(o_i, p(o_i), q(0)) per value p/q, None for zero (``compose_order``)."""
     leads = []
     for value in values:
-        (n, a), (d, b) = value.num.integer_form, value.den.integer_form
-        o = min(n, default=None)
-        leads.append(None if o is None else (o, n[o] * b, d[0] * a))
+        p, q = value.integer_form
+        o = min(p, default=None)
+        leads.append(None if o is None else (o, p[o], q[0]))
     return leads
 
 
@@ -207,11 +232,17 @@ class Polynomial:
         """The polynomial p(x + point), i.e. coordinates recentered at point.
 
         A shift u/v in a variable of top power K is applied over the common
-        denominator v^K, so each binomial term stays an integer.
+        denominator v^K, so each binomial term stays an integer; each row of
+        binomials is built incrementally.  An output whose ``_translate_size``
+        is over ``MAX_TRANSLATE_SIZE`` raises ``BudgetExhausted`` before any
+        term is expanded.
         """
         if len(point) != len(self._variables):
             raise ValueError("translation point has the wrong number of coordinates")
         shifts = [exact(raw) for raw in point]
+        size = _translate_size(self._nums, shifts)
+        if size > MAX_TRANSLATE_SIZE:
+            raise BudgetExhausted(f"the translate has size {size}, over {MAX_TRANSLATE_SIZE}")
         nums, den = self._nums, self._den
         for index, shift in enumerate(shifts):
             if not shift or not nums:
@@ -221,42 +252,43 @@ class Polynomial:
             v_pow = [shift.denominator**i for i in range(top + 1)]
             updated: dict[Exponent, int] = {}
             for e, c in nums.items():
-                k = e[index]
+                k, binomial = e[index], 1
                 for j in range(k + 1):
                     key = e[:index] + (j,) + e[index + 1 :]
-                    value = c * comb(k, j) * u_pow[k - j] * v_pow[top - k + j]
+                    value = c * binomial * u_pow[k - j] * v_pow[top - k + j]
                     updated[key] = updated.get(key, 0) + value
+                    binomial = binomial * (k - j) // (j + 1)
             nums, den = updated, den * v_pow[top]
         if nums is self._nums:
             return self
         return Polynomial._make(self._variables, nums, den)
 
-    def _compose_parts(self, values: Sequence[TRational]) -> tuple[TPoly, TPoly]:
+    def _compose_parts(self, values: Sequence[TRational]) -> tuple[Terms, Terms]:
         """Numerator and denominator of the substitution, as nested integer sums.
 
-        Value i is n(t)/a over d(t)/b in integer form, i.e. x_i = P_i / Q_i
-        with P_i = b*n and Q_i = a*d.  With D the polynomial's denominator,
-        M_i the top power of variable i and R_i(k) = P_i^k Q_i^(M_i - k),
+        Value i is the canonical pair x_i = p_i / q_i (``TRational``).  With D
+        the polynomial's denominator, M_i the top power of variable i and
+        R_i(k) = p_i^k q_i^(M_i - k),
 
             num = sum_e c_e prod_i R_i(e_i)
                 = sum_k R_1(k) sum_k' R_2(k') ... sum_(e_n) c_e R_n(e_n),
-            den = D prod_i Q_i^M_i.
+            den = D prod_i q_i^M_i.
 
         The nested sum groups the terms by their leading exponents (a
         multivariate Horner scheme), so it takes one product per distinct
         exponent prefix, and none for a factor equal to 1; each R_i(k) is
-        built once, for the k that occur, and at once when P_i and Q_i are
+        built once, for the k that occur, and at once when p_i and q_i are
         single terms: after a run of blow-ups, M_i for s is about the step count.
-        No gcd reduction happens here.
-        The denominator never vanishes at t = 0 because none of the
-        component denominators do.
+        No gcd reduction happens here, and the values' maps are only read.
+        Neither part has a zero entry, and the denominator does not vanish at
+        t = 0 because no q_i does.
         """
         if len(values) != len(self._variables):
             raise ValueError("substitution needs one value per variable")
         factors: list[dict[int, dict[int, int]]] = []
         den = {0: self._den}
         for value, column in zip(values, zip(*self._nums)):
-            p, q = _integer_parts(value)
+            p, q = value.integer_form
             top = max(column)
             if len(p) == len(q) == 1:
                 (i, c), (j, g) = *p.items(), *q.items()
@@ -282,7 +314,7 @@ class Polynomial:
                     for power, v in product.items():
                         acc[power] = acc.get(power, 0) + v
             level = upper
-        return TPoly._make(level.get((), {})), TPoly._make(den)
+        return {power: v for power, v in level.get((), {}).items() if v}, den
 
     def compose(self, values: Sequence[TRational]) -> TRational:
         """Substitute a rational function of t for every variable.
@@ -290,17 +322,17 @@ class Polynomial:
         The result is again a rational function regular at t = 0, so pullbacks
         of polynomials along arcs never leave exact arithmetic.
         """
-        return TRational(*self._compose_parts(values))
+        return TRational._canonical(*_reduced(*self._compose_parts(values)))
 
     def compose_order(self, values: Sequence[TRational]) -> int | float:
         """Vanishing order in t of the substitution, infinity when it is zero.
 
-        Value i = n(t)/a over d(t)/b starts l_i t^(o_i), with o_i = ord n and
-        l_i = n(o_i) b / (a d(0)), as d(0) != 0.  So a term c_e x^e with no
-        zero value among its factors starts c_e prod_i l_i^(e_i) t^(e . o);
-        the terms of one weight w = e . o form a class, whose leading sum
-        S_w = sum over e . o = w of c_e prod_i l_i^(e_i) is tested over the
-        integers, times D prod_i (a d(0))^(E_i), E_i the largest e_i in the
+        Value i = p_i/q_i starts l_i t^(o_i), with o_i = ord p_i and l_i =
+        p_i(o_i) / q_i(0), as q_i(0) != 0.  So a term c_e x^e with no zero
+        value among its factors starts c_e prod_i l_i^(e_i) t^(e . o); the
+        terms of one weight w = e . o form a class, whose leading sum S_w =
+        sum over e . o = w of c_e prod_i l_i^(e_i) is tested over the
+        integers, times D prod_i q_i(0)^(E_i), E_i the largest e_i in the
         class (``_leads`` and ``_leading_sum``, which ``rees.diff_order``
         shares).  With low the least weight, the coefficient of t^low in the
         pullback is S_low and all else starts higher: S_low != 0 proves the
@@ -309,8 +341,8 @@ class Polynomial:
 
         When every value is zero or one term (``TRational._is_term``), the
         pullback is exactly sum_w S_w t^w.  Proof: a canonical value with a
-        one-term numerator and a one-term denominator has den = 1, as den is
-        monic and den(0) != 0, so it is exactly l_i t^(o_i); a term with no
+        one-term numerator and a one-term denominator has q_i = q_i(0), as
+        q_i(0) != 0, so it is exactly l_i t^(o_i); a term with no
         zero factor then pulls back to exactly c_e prod_i l_i^(e_i) t^(e . o),
         and a term with a zero factor to 0.  So the coefficient of t^w is
         S_w, and the order is the least w with S_w != 0, or infinity when
@@ -343,30 +375,25 @@ class Polynomial:
         if _dense(values):
             return self._evaluated_order(values)
         num, _ = self._compose_parts(values)
-        return num.order()
+        return min(num, default=math.inf)
 
     def _evaluated_order(self, values: Sequence[TRational]) -> int | float:
         """Order of the pullback's numerator, read from its value at t = 2^W.
 
-        Value i = n(t)/a over d(t)/b is a scalar times a quotient of primitive
-        integer polynomials.  With c_n, c_d > 0 the contents of n and d (c_n = 1
-        for the zero value), n = c_n p_i and d = c_d q_i; with g_i = gcd(b c_n,
-        a c_d), alpha_i = b c_n / g_i and beta_i = a c_d / g_i, the parts of
-        ``_integer_parts`` are P_i = b n = g_i alpha_i p_i and Q_i = a d =
-        g_i beta_i q_i.  With M_i the top power of variable i, each coefficient
-        takes in its scalars, c_e prod_i alpha_i^(e_i) beta_i^(M_i - e_i), and
-        C_e is that divided by G, the gcd of all of them.  So
+        Value i is the canonical pair p_i/q_i: with alpha_i, beta_i > 0 the
+        contents of p_i and q_i (1 for zero), p_i = alpha_i p'_i and q_i =
+        beta_i q'_i with p'_i, q'_i primitive.  With M_i the top power of
+        variable i, C_e is c_e prod_i alpha_i^(e_i) beta_i^(M_i - e_i) divided
+        by G >= 1, the gcd of all of them.  So num = G num', where
 
-            num = sum_e c_e prod_i P_i^(e_i) Q_i^(M_i - e_i)
-                = G prod_i g_i^(M_i) sum_e C_e prod_i p_i^(e_i) q_i^(M_i - e_i),
+            num' = sum_e C_e prod_i p'_i^(e_i) q'_i^(M_i - e_i):
 
-        and G >= 1, as no c_e, alpha_i or beta_i is 0.  The last sum, num', is
-        a positive rational multiple of num: it is 0 exactly when num is, and
-        otherwise has the same order.  It is evaluated at t = 2^W, through the
-        nested sum of ``_compose_parts`` over integers, where
+        num' is 0 exactly when num is, and otherwise has the same order.  It
+        is evaluated at t = 2^W, through the nested sum of ``_compose_parts``
+        over integers, where
 
             W = bitlen N + max_e [bitlen C_e
-                + sum_i (e_i bitlen |p_i|_1 + (M_i - e_i) bitlen |q_i|_1)],
+                + sum_i (e_i bitlen |p'_i|_1 + (M_i - e_i) bitlen |q'_i|_1)],
 
         N the number of terms, bitlen x the bit length of |x|, so |x| <
         2^(bitlen x), and |.|_1 the sum of the absolute values of the
@@ -388,10 +415,7 @@ class Polynomial:
         tops = [max(column) for column in columns]
         parts, folds = [], []
         for i, (value, top, column) in enumerate(zip(values, tops, columns)):
-            (n, a), (d, b) = value.num.integer_form, value.den.integer_form
-            (c_n, p), (c_d, q) = _primitive(n), _primitive(d)
-            g = math.gcd(b * c_n, a * c_d)
-            alpha, beta = b * c_n // g, a * c_d // g
+            (alpha, p), (beta, q) = map(_primitive, value.integer_form)
             parts.append((p, q))
             if alpha != 1 or beta != 1:
                 folds.append((i, {k: alpha**k * beta ** (top - k) for k in set(column)}))

@@ -54,7 +54,7 @@ from typing import Sequence
 
 from .arcs import Arc, Hypersurface
 from .errors import BudgetExhausted, NotInSingularLocus, PreconditionError
-from .polynomials import Polynomial, _leading_sum, _leads
+from .polynomials import _TERM_BITS, Polynomial, _leading_sum, _leads
 from .tseries import is_exponent
 
 # Largest differential presentation ``diff_saturate`` builds and ``diff_order``
@@ -65,9 +65,6 @@ from .tseries import is_exponent
 # 16 MB on the second along (t, t^2, t^3), and ``arcinv qpers`` of x^8306 along
 # (0, t) 0.09 s and 17 MB in all.  The bundled surfaces take under 10^5.
 MAX_PRESENTATION_SIZE = 10**9
-# A term of a partial weighs this many bits on top of its coefficient's: the
-# dict slot, exponent tuple and integer it is stored in.
-_TERM_BITS = 4096
 
 
 class ReesAlgebra:

@@ -8,24 +8,19 @@ constant, the order at t = 0, and the ramification substitution t -> t^n.
 Those are the only arithmetic operators ``TRational`` defines.  Nothing is
 ever truncated, so all downstream order computations are exact.
 
-``TPoly`` holds integer numerators over one positive denominator, in lowest
-terms.  ``Polynomial`` keeps the same form keyed by exponent tuples, through
-the same private helpers (``_lcm_form``, ``_lowest``, ``_convolve``,
-``_at_power_of_two``, ``_format``).  ``TRational`` is a quotient of two
-``TPoly`` kept in canonical form: gcd(num, den) = 1, den monic, den(0) != 0.
-Canonical form makes structural equality coincide with mathematical equality.
-Subtracting a constant c = p/q, which recenters an arc after a blow-up, is
-one pass over the integer forms: with num = n/a and den = d/b, the new
-numerator is (n q b - p a d)/(a q b) over the same den, brought to lowest
-terms once, with no polynomial gcd; so ``TPoly`` needs no sum, and its only
-operator is the product.  The constants 1 and t^k and the substitution
-t -> t^n are in lowest terms as built, so they are stored as they are
-(``TPoly._wrap``).
-When one side of a gcd is a single term c*t^k, the gcd is t^min(orders) and
-cancelling it only shifts exponents.  Otherwise the gcd and both cofactors
-come from one kernel, the heuristic gcd of Char, Geddes and Gonnet on the
-values at t = 2^k, which checking the cofactors makes exact
-(``_gcd_cofactors``); no polynomial division is ever taken.
+``TRational`` stores one pair of integer maps (p, q), from powers of t to
+coefficients, in canonical form: gcd(p, q) = 1 in Q[t], q(0) != 0, joint
+content 1, lc(q) > 0, and zero as 0/1.  The form is unique, so structural
+equality is mathematical equality.  Every operator cancels with
+``_cancel``: when one side is a single term c*t^k the gcd is
+t^min(orders), an exponent shift; otherwise the cofactors come from the
+heuristic gcd of Char, Geddes and Gonnet on the values at t = 2^k, which
+checking them makes exact (``_gcd_cofactors``); then one content division
+and one sign fix.  No polynomial division is ever taken.
+
+``TPoly`` is the input type: integer numerators over one positive
+denominator, in lowest terms, with no operators.  ``Polynomial`` keeps the
+same form keyed by exponent tuples, through the same private helpers.
 
 Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
 bool is refused rather than read as a binary expansion or as 0/1.
@@ -40,6 +35,7 @@ from typing import Any, Iterable, Mapping, Union
 Scalar = Union[int, Fraction]
 Terms = dict[int, int]
 _UNIT: Terms = {0: 1}
+_NOT_A_SERIES = "denominator vanishes at t = 0; the quotient is not a power series"
 Nums = dict[Any, int]  # numerators keyed by a power of t or by an exponent tuple
 
 
@@ -81,6 +77,15 @@ def _convolve(a: Terms, b: Terms) -> Terms:
     return nums
 
 
+def _times(a: Terms, b: Terms) -> Terms:
+    """The product of two integer maps, with no zero entries; free when one is 1."""
+    if a == _UNIT:
+        return b
+    if b == _UNIT:
+        return a
+    return {e: c for e, c in _convolve(a, b).items() if c}
+
+
 def _format(terms: Iterable[tuple[str, Fraction]]) -> str:
     """c*monomial + ..., "0" when empty; a unit coefficient is written as a sign."""
     parts = []
@@ -95,10 +100,11 @@ def _format(terms: Iterable[tuple[str, Fraction]]) -> str:
 
 
 class TPoly:
-    """Sparse polynomial in t with rational coefficients.
+    """Sparse polynomial in t with rational coefficients: the input type of arcs.
 
     The coefficient of t^p is ``_nums[p] / _den``, with no zero numerators,
     ``_den > 0`` and gcd(_den, *_nums.values()) = 1.  This form is unique.
+    It has no arithmetic: ``TRational`` computes on integer maps.
     """
 
     __slots__ = ("_nums", "_den")
@@ -113,41 +119,17 @@ class TPoly:
     @classmethod
     def _make(cls, nums: Terms, den: int = 1) -> TPoly:
         """The polynomial with numerators nums over den, brought to lowest terms."""
-        return cls._wrap(*_lowest(nums, den))
-
-    @classmethod
-    def _wrap(cls, nums: Terms, den: int = 1) -> TPoly:
-        """The polynomial with numerators nums over den, already in lowest terms."""
         poly = object.__new__(cls)
-        poly._nums, poly._den = nums, den
+        poly._nums, poly._den = _lowest(nums, den)
         return poly
 
     @classmethod
-    def zero(cls) -> TPoly:
-        return cls._wrap({})
-
-    @classmethod
     def one(cls) -> TPoly:
-        return cls._wrap({0: 1})
+        return cls._make({0: 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> TPoly:
         return cls({0: value})
-
-    @classmethod
-    def t(cls, power: int = 1) -> TPoly:
-        if not is_exponent(power):
-            raise ValueError(f"invalid exponent {power!r} for a power of t")
-        return cls._wrap({power: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention degree(0) = -1."""
-        return max(self._nums) if self._nums else -1
 
     def order(self) -> int | float:
         """Vanishing order at t = 0; infinity for the zero polynomial."""
@@ -161,9 +143,6 @@ class TPoly:
         """(nums, den), t^p having coefficient nums[p] / den; read-only."""
         return self._nums, self._den
 
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TPoly):
             return self._den == other._den and self._nums == other._nums
@@ -171,29 +150,6 @@ class TPoly:
 
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._nums.items())))
-
-    def __mul__(self, other: TPoly) -> TPoly:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if other._den == 1 and other._nums == _UNIT:
-            return self
-        if self._den == 1 and self._nums == _UNIT:
-            return other
-        return TPoly._make(_convolve(self._nums, other._nums), self._den * other._den)
-
-    def scale(self, factor: Scalar) -> TPoly:
-        factor = exact(factor)
-        nums = {p: c * factor.numerator for p, c in self._nums.items()}
-        return TPoly._make(nums, self._den * factor.denominator)
-
-    def monic(self) -> TPoly:
-        return TPoly._make(self._nums, self._nums[self.degree]) if self._nums else self
-
-    def stretch(self, n: int) -> TPoly:
-        """The substitution t -> t^n, which keeps the lowest terms."""
-        if not is_exponent(n) or n < 1:
-            raise ValueError("ramification index must be a positive integer")
-        return TPoly._wrap({p * n: c for p, c in self._nums.items()}, self._den)
 
     def __str__(self) -> str:
         return _format(({0: "", 1: "t"}.get(p, f"t^{p}"), c) for p, c in self.items())
@@ -262,168 +218,189 @@ def _gcd_cofactors(u: Terms, v: Terms) -> tuple[Terms, Terms, Terms]:
         h = {e: c // content for e, c in digits.items()}
         at_h = gamma // content
         cu, cv = _balanced_digits(at_u // at_h, k), _balanced_digits(at_v // at_h, k)
-        # _convolve keeps a cancelled entry as 0; u and v hold none.
-        if (
-            {e: c for e, c in _convolve(cu, h).items() if c} == u
-            and {e: c for e, c in _convolve(cv, h).items() if c} == v
-        ):
+        if _times(cu, h) == u and _times(cv, h) == v:
             return h, cu, cv
         k *= 2
 
 
-def _shift(poly: TPoly, k: int) -> TPoly:
-    """poly / t^k for k <= poly.order(); only the keys change, so no gcd."""
-    if not k:
-        return poly
-    return TPoly._wrap({e - k: c for e, c in poly._nums.items()}, poly._den)
+def _shift(terms: Terms, k: int) -> Terms:
+    """terms / t^k for k <= the least power; only the keys change."""
+    return {e - k: c for e, c in terms.items()} if k else terms
 
 
-def _cancel(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
-    """num/g and den/g for g = gcd(num, den); both are nonzero.
+def _normal(p: Terms, q: Terms) -> tuple[Terms, Terms]:
+    """p and q divided by their joint content, signed so that lc(q) > 0."""
+    g = math.gcd(*p.values(), *q.values())
+    if q[max(q)] < 0:
+        g = -g
+    if g == 1:
+        return p, q
+    return {e: c // g for e, c in p.items()}, {e: c // g for e, c in q.items()}
 
-    If either side is one term c*t^k, g = t^min(orders), an exponent shift.
-    Otherwise g = h/lc(h) for the gcd h of ``_gcd_cofactors``, and num/g is
-    its cofactor times lc(h) over num's denominator; so is den/g.
+
+def _cancel(u: Terms, v: Terms) -> tuple[Terms, Terms]:
+    """u/g and v/g for g = gcd(u, v), with joint content 1 and lc(v/g) > 0.
+
+    u and v are nonzero.  If either is one term c*t^k, g = t^min(orders), an
+    exponent shift.  Otherwise u/g and v/g are the cofactors of
+    ``_gcd_cofactors`` up to the one scalar that ``_normal`` divides out.
     """
-    if len(num._nums) == 1 or len(den._nums) == 1:
-        k = min(min(num._nums), min(den._nums))
-        return _shift(num, k), _shift(den, k)
-    h, cu, cv = _gcd_cofactors(num._nums, den._nums)
-    if h == _UNIT:
-        return num, den
-    lead = h[max(h)]
-    return (
-        TPoly._make({e: c * lead for e, c in cu.items()}, num._den),
-        TPoly._make({e: c * lead for e, c in cv.items()}, den._den),
-    )
+    if len(u) == 1 or len(v) == 1:
+        k = min(min(u), min(v))
+        u, v = _shift(u, k), _shift(v, k)
+    else:
+        _, u, v = _gcd_cofactors(u, v)
+    return _normal(u, v)
 
 
-def _monic(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
-    """Coprime num, den with den made monic; ValueError unless den(0) != 0."""
-    if 0 not in den._nums:
-        raise ValueError(
-            "denominator vanishes at t = 0; the quotient is not a power series"
-        )
-    lead = den._nums[den.degree]
-    if lead == den._den:
-        return num, den
-    return num.scale(Fraction(den._den, lead)), den.monic()
+def _reduced(p: Terms, q: Terms) -> tuple[Terms, Terms]:
+    """The canonical pair of p/q, maps with no zero entries; ValueError unless a series."""
+    if not q:
+        raise ZeroDivisionError("zero denominator")
+    if not p:
+        return p, _UNIT
+    p, q = _cancel(p, q)
+    if 0 not in q:
+        raise ValueError(_NOT_A_SERIES)
+    return p, q
 
 
 class TRational:
-    """Quotient of univariate polynomials in t, regular at t = 0."""
+    """Quotient p(t)/q(t) of integer polynomials, regular at t = 0.
 
-    __slots__ = ("num", "den")
+    The pair is canonical: gcd(p, q) = 1 in Q[t], q(0) != 0, the
+    coefficients of p and q together have gcd 1, lc(q) > 0, and zero is 0/1.
+    This form is unique, so ``==`` and ``hash`` compare the stored maps.
+    """
+
+    __slots__ = ("_p", "_q")
 
     def __init__(self, num: TPoly | Scalar, den: TPoly | Scalar = 1):
         num = num if isinstance(num, TPoly) else TPoly.constant(num)
         den = den if isinstance(den, TPoly) else TPoly.constant(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = num, TPoly.one()
-        else:
-            self.num, self.den = _monic(*_cancel(num, den))
+        # num = n/a over den = d/b is (b*n)/(a*d).
+        (n, a), (d, b) = num.integer_form, den.integer_form
+        self._p, self._q = _reduced({e: c * b for e, c in n.items()},
+                                    {e: c * a for e, c in d.items()})
 
     @classmethod
-    def _canonical(cls, num: TPoly, den: TPoly) -> TRational:
-        """Wrap a pair that is already in canonical form, skipping the gcd."""
+    def _canonical(cls, p: Terms, q: Terms) -> TRational:
+        """Wrap a pair that is already canonical, skipping the gcd."""
         value = object.__new__(cls)
-        value.num, value.den = num, den
+        value._p, value._q = p, q
         return value
 
     @classmethod
     def zero(cls) -> TRational:
-        return cls._canonical(TPoly.zero(), TPoly.one())
+        return cls._canonical({}, _UNIT)
 
     @classmethod
     def one(cls) -> TRational:
-        return cls._canonical(TPoly.one(), TPoly.one())
+        return cls._canonical(_UNIT, _UNIT)
 
     @classmethod
     def t(cls, power: int = 1) -> TRational:
-        return cls._canonical(TPoly.t(power), TPoly.one())
+        if not is_exponent(power):
+            raise ValueError(f"invalid exponent {power!r} for a power of t")
+        return cls._canonical({power: 1}, _UNIT)
+
+    @property
+    def integer_form(self) -> tuple[Terms, Terms]:
+        """(p, q), the value being p(t)/q(t); read-only, and shared."""
+        return self._p, self._q
+
+    @property
+    def num(self) -> TPoly:
+        """The numerator over the monic denominator ``den``."""
+        return TPoly._make(self._p, self._q[max(self._q)])
+
+    @property
+    def den(self) -> TPoly:
+        """The denominator made monic; 1 for a polynomial."""
+        return TPoly._make(self._q, self._q[max(self._q)])
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._p
 
     def _is_term(self) -> bool:
-        """Whether self is c*t^p with c != 0: a canonical den of one term is 1."""
-        return len(self.num._nums) == 1 and len(self.den._nums) == 1
+        """Whether self is c*t^k with c != 0: a canonical q of one term is q(0)."""
+        return len(self._p) == 1 and len(self._q) == 1
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self._p)
 
     def t_order(self) -> int | float:
         """Vanishing order at t = 0; infinity for the zero function."""
-        return self.num.order()
+        return min(self._p) if self._p else math.inf
 
     def value_at_zero(self) -> Fraction:
-        num, den = self.num, self.den
-        return Fraction(num._nums.get(0, 0) * den._den, num._den * den._nums[0])
+        return Fraction(self._p.get(0, 0), self._q[0])
 
     def ramify(self, n: int) -> TRational:
         """The substitution t -> t^n, multiplying all orders by n.
 
-        Canonical in, canonical out: a Bezout identity for num and den
-        survives the substitution, and so do monic den and den(0) != 0.
+        Canonical in, canonical out: a Bezout identity for p and q survives
+        the substitution, and the coefficients, q(0) and lc(q) do not change.
         """
-        return TRational._canonical(self.num.stretch(n), self.den.stretch(n))
+        if not is_exponent(n) or n < 1:
+            raise ValueError("ramification index must be a positive integer")
+        p, q = ({e * n: c for e, c in terms.items()} for terms in (self._p, self._q))
+        return TRational._canonical(p, q)
 
     def __sub__(self, scalar: Scalar) -> TRational:
-        """self - c as (num - c*den)/den, taking no polynomial gcd.
+        """self - r/s as (s*p - r*q)/(s*q), taking no polynomial gcd.
 
-        On the integer forms num = n/a, den = d/b and c = p/q, the new
-        numerator is (n*q*b - p*a*d)/(a*q*b), brought to lowest terms once.
-        The pair is canonical as it stands: den is unchanged, and
-        gcd(num - c*den, den) = gcd(num, den) = 1.  Subtracting 0 returns self.
+        gcd(s*p - r*q, s*q) = gcd(p, q) = 1 in Q[t], and s*q keeps q(0) != 0
+        and lc > 0, so only the joint content is divided out.  Subtracting 0
+        returns self.
         """
         c = exact(scalar)
         if not c:
             return self
-        (n, a), (d, b) = self.num.integer_form, self.den.integer_form
-        p, q = c.numerator, c.denominator
-        nums = {k: v * q * b for k, v in n.items()}
-        for k, v in d.items():
-            nums[k] = nums.get(k, 0) - p * a * v
-        num = TPoly._make(nums, a * q * b)
-        return TRational._canonical(num, self.den) if num else TRational.zero()
+        r, s = c.numerator, c.denominator
+        p = {e: v * s for e, v in self._p.items()}
+        for e, v in self._q.items():
+            p[e] = p.get(e, 0) - r * v
+        p = {e: v for e, v in p.items() if v}
+        if not p:
+            return TRational.zero()
+        q = self._q if s == 1 else {e: v * s for e, v in self._q.items()}
+        return TRational._canonical(*_normal(p, q))
 
     def __mul__(self, other: TRational) -> TRational:
         """Product by cross-cancellation (Henrici; Knuth, TAOCP 2, 4.5.1).
 
         For canonical a/b and c/d the only factors that can cancel in ac/bd
-        are g1 = gcd(a, d) and g2 = gcd(c, b).  Dividing them out first gives
-        (a/g1)(c/g2) / (b/g2)(d/g1), which is canonical as it stands: its two
-        parts are coprime, the denominator is a product of monic factors, and
-        it does not vanish at t = 0 because b and d do not.  So no gcd of the
-        full products is taken, and a square, where gcd(a, b) = 1 already,
-        takes no gcd at all.
+        are g1 = gcd(a, d) and g2 = gcd(c, b), so with the pairs of
+        ``_cancel``, (a/g1)(c/g2) / (b/g2)(d/g1) has coprime parts.  By Gauss's
+        lemma the content of a product is the product of the contents, and
+        each factor above has content coprime to both factors across: a, b
+        and c, d by canonical form, the rest by ``_cancel``.  With lc > 0 and
+        a nonzero value at t = 0 for both factors below, the pair is canonical
+        as it stands: no gcd of the full products is taken, and a square
+        takes none at all.
         """
         if not isinstance(other, TRational):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return TRational.zero()
         if other == self:
-            return TRational._canonical(self.num * self.num, self.den * self.den)
-        a, d = _cancel(self.num, other.den)
-        c, b = _cancel(other.num, self.den)
-        return TRational._canonical(a * c, b * d)
+            return TRational._canonical(_times(self._p, self._p), _times(self._q, self._q))
+        a, d = _cancel(self._p, other._q)
+        c, b = _cancel(other._p, self._q)
+        return TRational._canonical(_times(a, c), _times(b, d))
 
     def __truediv__(self, other: TRational) -> TRational:
         """Quotient by cross-cancellation, the rule of ``__mul__``.
 
         For canonical a/b and p/q, (a/b) / (p/q) = aq / bp, and the only
-        factors that can cancel are g1 = gcd(a, p) and g2 = gcd(q, b).  So
-        (a/g1)(q/g2) / (b/g2)(p/g1) is in lowest terms once its denominator
-        is made monic: gcd(a, b) = gcd(p, q) = 1 leave no other common
-        factor.  As b(0) != 0, it is a power series iff (p/g1)(0) != 0, i.e.
-        iff the divisor's order at t = 0 is at most the dividend's.
-
-        A divisor c*t^p of order at most the dividend's only shifts the
-        numerator down by p and divides it by c.  That pair is canonical as it
-        stands: den is unchanged, and t does not divide it.
+        factors that can cancel are g1 = gcd(a, p) and g2 = gcd(q, b), so
+        (a/g1)(q/g2) / (b/g2)(p/g1) is canonical as in ``__mul__``.  It is a
+        power series iff (p/g1)(0) != 0, i.e. iff the divisor's order at t = 0
+        is at most the dividend's.  A divisor (c/d)*t^k of such order gives
+        d*(a/t^k) over c*b: a pure exponent shift when c = d = 1, else one
+        content division and one sign fix.
         """
         if not isinstance(other, TRational):
             return NotImplemented
@@ -431,15 +408,17 @@ class TRational:
             raise ZeroDivisionError("zero denominator")
         if self.is_zero:
             return self
-        if other._is_term() and min(self.num._nums) >= min(other.num._nums):
-            ((p, c),) = other.num._nums.items()
-            num = _shift(self.num, p)
-            if c != other.num._den:
-                num = num.scale(Fraction(other.num._den, c))
-            return TRational._canonical(num, self.den)
-        a, p = _cancel(self.num, other.num)
-        q, b = _cancel(other.den, self.den)
-        return TRational._canonical(*_monic(a * q, b * p))
+        if other._is_term() and min(self._p) >= min(other._p):
+            ((k, c),), d = other._p.items(), other._q[0]
+            if c == d == 1:
+                return TRational._canonical(_shift(self._p, k), self._q)
+            p = {e - k: v * d for e, v in self._p.items()}
+            return TRational._canonical(*_normal(p, {e: v * c for e, v in self._q.items()}))
+        a, p = _cancel(self._p, other._p)
+        q, b = _cancel(other._q, self._q)
+        if 0 not in p:
+            raise ValueError(_NOT_A_SERIES)
+        return TRational._canonical(_times(a, q), _times(b, p))
 
     def __pow__(self, exponent: int) -> TRational:
         """c^k*t^(kp) for a single term c*t^p; else square-and-multiply.
@@ -454,9 +433,8 @@ class TRational:
         if not exponent:
             return TRational.one()
         if self._is_term():
-            ((p, c),) = self.num._nums.items()
-            power = TPoly._make({p * exponent: c**exponent}, self.num._den**exponent)
-            return TRational._canonical(power, self.den)
+            ((p, c),), d = self._p.items(), self._q[0]
+            return TRational._canonical({p * exponent: c**exponent}, {0: d**exponent})
         base, e = self, exponent
         while not e & 1:
             base, e = base * base, e >> 1
@@ -470,18 +448,17 @@ class TRational:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TRational):
-            return self.num == other.num and self.den == other.den
+            return self._p == other._p and self._q == other._q
         if isinstance(other, (TPoly, int, Fraction)):
             return self == TRational(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((frozenset(self._p.items()), frozenset(self._q.items())))
 
     def __str__(self) -> str:
-        if self.den == TPoly.one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        num, den = self.num, self.den
+        return str(num) if den == TPoly.one() else f"({num})/({den})"
 
     def __repr__(self) -> str:
         return f"TRational({self.num!r}, {self.den!r})"

@@ -143,7 +143,7 @@ def test_parametrization_identity_rejected():
 
 def test_parametrization_builds_arcs():
     par = MonomialParametrization([(3, 0, 1), (0, 2, 1)])
-    arc = par.arc([TPoly.t(1), TPoly.t(1)])
+    arc = par.arc([TPoly({1: 1}), TPoly({1: 1})])
     assert arc == monomial_arc((3, 2, 2))
 
 

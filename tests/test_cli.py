@@ -345,6 +345,34 @@ def test_oversized_search_box_exits_4_before_the_scan(argv, refusal, tmp_path, c
     assert elapsed < 1
 
 
+def save_high_degree_case(tmp_path, k: int) -> list[str]:
+    """--surface and --arc for y^2 - x^2 + y^k - x^k and the arc (t, t) on it."""
+    terms = {(0, 2): 1, (2, 0): -1, (0, k): 1, (k, 0): -1}
+    surface = hypersurface_to_doc(Hypersurface(Polynomial(("x", "y"), terms)))
+    save_document(tmp_path / "surface.json", surface)
+    save_document(tmp_path / "arc.json", arc_to_doc(monomial_arc((1, 1))))
+    return ["--surface", str(tmp_path / "surface.json"), "--arc", str(tmp_path / "arc.json")]
+
+
+@pytest.mark.parametrize("argv", [["nash"], ["qpers", "--n-max", "1"]], ids=["nash", "qpers"])
+def test_an_oversized_translate_exits_4_before_expanding(argv, tmp_path, capsys):
+    # The first recentering moves y^100000 - x^100000 by (1, 1): about 10^5
+    # coefficients of up to 10^5 bits each.
+    argv = argv + save_high_degree_case(tmp_path, 100000)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.startswith("inconclusive:") and "the translate has size" in out
+    assert elapsed < 1
+
+
+def test_a_high_degree_translate_under_the_cap_answers(tmp_path, capsys):
+    assert main(["nash", "--format", "machine"] + save_high_degree_case(tmp_path, 3000)) == 0
+    assert json.loads(capsys.readouterr().out)["sequence"] == [2, 1]
+
+
 # Every command-line example of the README, plus a level whose components
 # touch the default --m search box.
 BUNDLED_EXAMPLES = [

@@ -1,7 +1,9 @@
 """JSON document layer: roundtrips and rejection of malformed input."""
 
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -54,6 +56,45 @@ def test_arc_roundtrip_with_rational_components():
         ]
     )
     assert parse_arc(arc_to_doc(arc)) == arc
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seeded_arcs(seeds=range(4)) -> list[Arc]:
+    """Arcs whose components have nontrivial denominators, one per seed.
+
+    Each component comes out of one ``TRational`` operator (the constructor,
+    *, / by a series and by a single term, - c, ** and ramify), so the
+    golden file pins the num/den views that each of them leaves.
+    """
+    arcs = []
+    for seed in seeds:
+        rng = random.Random(seed)
+
+        def coeff():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+        def series(low):
+            return TPoly({low + k: coeff() for k in range(rng.randint(2, 4))})
+
+        a, b, c = (TRational(series(low), series(0)) for low in (1, 0, 2))
+        unit = TRational(series(0))
+        components = [a, a * b, c / a, a / unit, c / TRational(TPoly({1: coeff()})),
+                      b - b.value_at_zero(), a**3, c.ramify(2)]
+        arcs.append(Arc(components))
+    return arcs
+
+
+def test_seeded_arcs_keep_their_documents():
+    got = json.dumps([arc_to_doc(arc) for arc in seeded_arcs()], indent=2, sort_keys=True)
+    assert got + "\n" == (ROOT / "tests" / "golden" / "arc-to-doc-seeded.json").read_text()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "data").glob("*arc*.json")), ids=lambda p: p.name)
+def test_arc_data_round_trips_byte_for_byte(path, tmp_path):
+    save_document(tmp_path / "arc.json", arc_to_doc(load_arc(path)))
+    assert (tmp_path / "arc.json").read_bytes() == path.read_bytes()
 
 
 def test_resolution_roundtrip():
