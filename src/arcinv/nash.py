@@ -21,13 +21,18 @@ One blow-up step, in coordinates:
   e'_u = |e| - m; exact because m is the order of the transform (checked),
 * arc: divide every other component by the chart component; regularity at
   t = 0 is guaranteed by the chart choice,
-* recenter: translate coordinates so the lifted arc is centered at the
-  origin again, and read the next multiplicity off the recentered equation.
+* center: the lifted arc delta now passes through c = delta(0), and the
+  next multiplicity is the order of the transform G at c, the least |alpha|
+  with d^alpha G(c) != 0 by Taylor's formula, read from G and c
+  (``Polynomial.order_at``, which shares only the size cap with
+  ``translate``),
+* recenter: translate coordinates, F = G(x + c) along gamma = delta - c, so
+  the lifted arc is centered at the origin again.
 
 The tie-break only picks the chart u, of order o_u.  K center-0 steps in
 chart u at multiplicity m map e_u to e_u + K(a - m), a = |e| - e_u, and
 divide the other components by gamma_u^K (by t^K under ``s_first``, where
-u = s stays t).  ``blowup_step`` takes them as one run, K the least of the
+u = s stays t).  ``_advance`` takes them as one run, K the least of the
 steps left, floor((o_j - 1)/o_u) over the other components of finite order
 (then the center moves) and floor((a + b - m)/(m - a)) + 1 over terms with
 a < m, b = e_u (then the multiplicity drops).  As K o_u < o_j, after k < K
@@ -35,12 +40,22 @@ steps o_j - k o_u > o_u for all j: the center is 0 and any tie-break keeps
 u.  Each earlier step reads m, as single steps would: no term has degree
 < m, and if K > 1 the terms of degree m have a = m, b = 0 and keep it.
 
-``nash_sequence`` checks exactly, by a full pullback, that the lifted arc
-stays on the transform after each step with a nonzero center and at the end.
-That proves the check at every step: a run of K center-0 steps in chart u
-maps x^e to x^e' with gamma'^e' = gamma^e / gamma_u^(K m), so
-F(gamma) = gamma_u^(K m) F'(gamma') and F'(gamma') is zero iff F(gamma) was;
-only translation changes coefficients.
+``blowup_step`` is a run up to its new center (``_advance``, ending with G,
+delta and c) followed by the recentering (``_recenter``).  ``nash_sequence``
+recenters only when another run follows, so it builds no translate after the
+last run, and checks exactly, by a full pullback, that G(delta) = 0 after
+each run with a nonzero center and after the last run.  That proves the
+lifted arc stays on every transform, the translates included, and assumes
+nothing of ``translate``.  A run of K steps in chart u maps x^e to x^e'
+with delta^e' = gamma^e / gamma_u^(K m), so whatever F it starts from,
+
+    F_k(gamma_k) = gamma_u^(K m) G_(k+1)(delta_(k+1)),  gamma_u != 0,
+
+and a check of G(delta) proves the F and gamma the run started from.  The
+runs between two checks have center 0, so their F = G and gamma = delta,
+and the chain back from a check reaches the translate built after the
+check before it (or the arc on f, proved by ``init_directed``).  Every
+translate is followed by a check, since the last run is checked.
 
 An arc is trapped in the maximal multiplicity locus, and never drops, iff
 every partial of f of order 1 to b - 1 pulls back to zero along it: the
@@ -161,13 +176,15 @@ def _check_tie_break(tie_break: str) -> None:
         raise ValueError(f"unknown tie break rule {tie_break!r}")
 
 
-def blowup_step(
-    state: DirectedBlowupState, tie_break: TieBreak = "s_first", steps: int = 1
+def _advance(
+    state: DirectedBlowupState, tie_break: TieBreak, steps: int
 ) -> tuple[DirectedBlowupState, BlowupRecord]:
-    """Directed blow-ups: transform the equation, lift and recenter the arc.
+    """A run of directed blow-ups, up to the new center and not past it.
 
     A run of at most ``steps`` blow-ups in the chart the tie-break picks
-    (module docstring).  It leaves the membership check to ``nash_sequence``.
+    (module docstring), ending with the transform G and the lifted arc
+    delta, which passes through the record's center c = delta(0): the
+    multiplicity there is read from Taylor coefficients (``order_at``).
     """
     gamma = state.lifted
     orders = [comp.t_order() for comp in gamma]
@@ -200,16 +217,33 @@ def blowup_step(
         comp if i == chart else comp / pivot for i, comp in enumerate(gamma)
     )
     center = tuple(comp.value_at_zero() for comp in lifted)
-    if any(center):
-        transform = transform.translate(center)
-        lifted = tuple(comp - value for comp, value in zip(lifted, center))
-
-    multiplicity = transform.order_at_origin()
+    multiplicity = transform.order_at(center) if any(center) else transform.order_at_origin()
     if multiplicity == math.inf or multiplicity < 1:
         raise RuntimeError("recentered transform does not vanish at the new center")
     step = state.step + k
     record = BlowupRecord(step, variables[chart], center, int(multiplicity), k)
     return DirectedBlowupState(transform, lifted, step, int(multiplicity)), record
+
+
+def _recenter(state: DirectedBlowupState, center: tuple[Fraction, ...]) -> DirectedBlowupState:
+    """Move the center to the origin: F = G(x + c) along gamma = delta - c."""
+    if not any(center):
+        return state
+    transform = state.transform.translate(center)
+    lifted = tuple(comp - value for comp, value in zip(state.lifted, center))
+    return DirectedBlowupState(transform, lifted, state.step, state.multiplicity)
+
+
+def blowup_step(
+    state: DirectedBlowupState, tie_break: TieBreak = "s_first", steps: int = 1
+) -> tuple[DirectedBlowupState, BlowupRecord]:
+    """Directed blow-ups: transform the equation, lift and recenter the arc.
+
+    A run of at most ``steps`` blow-ups (``_advance``), recentered at once
+    (``_recenter``).  It leaves the membership check to its caller.
+    """
+    advanced, record = _advance(state, tie_break, steps)
+    return _recenter(advanced, record.center), record
 
 
 def default_budget(surface: Hypersurface, arc: Arc) -> int:
@@ -236,7 +270,8 @@ def nash_sequence(
     docstring).  With ``stop_at_drop=False`` the iteration continues past
     the drop until the sequence stabilizes at 1, which is useful for
     diagnostics.  Membership is checked after
-    translating steps and at the end (module docstring).
+    each run that moves the center, before its translate, and at the end
+    (module docstring).
     """
     _check_tie_break(tie_break)
     if max_steps is not None and max_steps < 1:
@@ -255,7 +290,7 @@ def nash_sequence(
     while True:
         # A run ends at the step where the multiplicity changes, so the drop
         # below m0 and the first multiplicity 1 are both at its last step.
-        state, run = blowup_step(state, tie_break, budget - state.step)
+        state, run = _advance(state, tie_break, budget - state.step)
         runs.append(run)
         if rho is None and state.multiplicity < m0:
             rho = state.step
@@ -267,6 +302,7 @@ def nash_sequence(
             raise RuntimeError("the lifted arc left the strict transform")
         if done:
             break
+        state = _recenter(state, run.center)
     return NashReport(m0, rho, False, budget, tuple(runs))
 
 

@@ -6,7 +6,7 @@ all their transforms under point blow-ups stay sparse, so this is both the
 simplest and the fastest representation for the job.
 
 ``Polynomial`` is the engine's transform type, not a ring: it has no
-arithmetic operators.  A blow-up needs only ``translate``,
+arithmetic operators.  A blow-up needs only ``translate``, ``order_at``,
 ``partial_derivative``, ``_map_exponents`` and the pullback along an arc
 (``compose``, ``compose_order``).
 
@@ -95,6 +95,18 @@ def _translate_size(nums: dict[Exponent, int], shifts: Sequence[Fraction]) -> in
             bits += e[i] + shift_bits
         size += count * bits
     return size
+
+
+def _compositions(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """Every tuple a of len(bounds) integers with 0 <= a_j <= bounds_j and sum total."""
+    if len(bounds) == 1:
+        if 0 <= total <= bounds[0]:
+            yield (total,)
+        return
+    room = sum(bounds[1:])
+    for first in range(max(0, total - room), min(bounds[0], total) + 1):
+        for rest in _compositions(total - first, bounds[1:]):
+            yield (first,) + rest
 
 
 def _primitive(terms: dict) -> tuple[int, dict]:
@@ -228,6 +240,16 @@ class Polynomial:
         }
         return Polynomial._make(self._variables, nums, self._den)
 
+    def _shifts(self, point: Sequence[Scalar]) -> list[Fraction]:
+        """The point as exact shifts, once the translate by it is under the size cap."""
+        if len(point) != len(self._variables):
+            raise ValueError("translation point has the wrong number of coordinates")
+        shifts = [exact(raw) for raw in point]
+        size = _translate_size(self._nums, shifts)
+        if size > MAX_TRANSLATE_SIZE:
+            raise BudgetExhausted(f"the translate has size {size}, over {MAX_TRANSLATE_SIZE}")
+        return shifts
+
     def translate(self, point: Sequence[Scalar]) -> Polynomial:
         """The polynomial p(x + point), i.e. coordinates recentered at point.
 
@@ -237,12 +259,7 @@ class Polynomial:
         is over ``MAX_TRANSLATE_SIZE`` raises ``BudgetExhausted`` before any
         term is expanded.
         """
-        if len(point) != len(self._variables):
-            raise ValueError("translation point has the wrong number of coordinates")
-        shifts = [exact(raw) for raw in point]
-        size = _translate_size(self._nums, shifts)
-        if size > MAX_TRANSLATE_SIZE:
-            raise BudgetExhausted(f"the translate has size {size}, over {MAX_TRANSLATE_SIZE}")
+        shifts = self._shifts(point)
         nums, den = self._nums, self._den
         for index, shift in enumerate(shifts):
             if not shift or not nums:
@@ -262,6 +279,56 @@ class Polynomial:
         if nums is self._nums:
             return self
         return Polynomial._make(self._variables, nums, den)
+
+    def order_at(self, point: Sequence[Scalar]) -> int | float:
+        """Multiplicity at point: the order at the origin of p(x + point), built from none of it.
+
+        By Taylor's formula it is the least |alpha| with d^alpha p(point) !=
+        0, infinity for the zero polynomial.  With c_i = u_i/v_i the point,
+        M_i the top power of variable i and n_e/D the coefficients, D times
+        prod_i v_i^(M_i) times the coefficient d^alpha p(point)/alpha! of
+        x^alpha in p(x + point) is the integer
+
+            T_alpha = sum_(e >= alpha) n_e prod_i binom(e_i, alpha_i)
+                      u_i^(e_i - alpha_i) v_i^(M_i - e_i + alpha_i),
+
+        the products over the moved variables, those with c_i != 0.  On the
+        others only alpha_i = e_i contributes, so the terms that agree there
+        form groups whose T_alpha share no alpha: the answer is the least over
+        the groups of their degree in the other variables plus their own
+        least degree with a nonzero T_alpha.  Each group takes its degrees 0,
+        1, ... in turn, below the best answer so far.  Each (e, alpha) is one
+        term the translate would expand, so the translate's size cap is
+        checked first.
+        """
+        shifts = self._shifts(point)
+        moved = [i for i, shift in enumerate(shifts) if shift]
+        if not moved or not self._nums:
+            return self.order_at_origin()
+        still = [i for i, shift in enumerate(shifts) if not shift]
+        groups: dict[Exponent, list[tuple[Exponent, int]]] = {}
+        for e, c in self._nums.items():
+            group = groups.setdefault(tuple([e[i] for i in still]), [])
+            group.append((tuple([e[i] for i in moved]), c))
+        points = [(shifts[i].numerator, shifts[i].denominator, max(e[i] for e in self._nums))
+                  for i in moved]
+        best = math.inf
+        for rest in sorted(groups, key=sum):
+            base, terms = sum(rest), groups[rest]
+            if base >= best:
+                break
+            for degree in range(min(best - base, max(sum(e) for e, _ in terms) + 1)):
+                sums: dict[Exponent, int] = {}
+                for e, c in terms:
+                    for alpha in _compositions(degree, e):
+                        value = c
+                        for k, a, (u, v, top) in zip(e, alpha, points):
+                            value *= math.comb(k, a) * u ** (k - a) * v ** (top - k + a)
+                        sums[alpha] = sums.get(alpha, 0) + value
+                if any(sums.values()):
+                    best = base + degree
+                    break
+        return best
 
     def _compose_parts(self, values: Sequence[TRational]) -> tuple[Terms, Terms]:
         """Numerator and denominator of the substitution, as nested integer sums.

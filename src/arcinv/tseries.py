@@ -41,6 +41,8 @@ Nums = dict[Any, int]  # numerators keyed by a power of t or by an exponent tupl
 
 def exact(value: object) -> Fraction:
     """An exact scalar as a Fraction; ValueError for floats, bools and the rest."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"not an exact scalar (int or Fraction): {value!r}")

@@ -374,10 +374,10 @@ def engine_runs(draw):
 
     ``lowest_index`` takes runs in coordinate charts, which x y^3 - z^3 arcs
     reach when ramified by n = 4.  Its transforms grow fast with n and past
-    the drop (seconds per quintic arc of type (2, 1), and per x y^3 - z^3
-    arc of orders (2, 3) at n >= 3), so it is drawn on unramified quintic
-    arcs of the smaller types and on x y^3 - z^3 arcs at n <= 4, with
-    orders (2, 3) at n <= 2 only.
+    the drop (0.6-1.2 s per quintic arc of type (2, 1), and per x y^3 - z^3
+    arc of orders (2, 3) 0.2 s at n = 3 and 1 s at n = 4, on a 2-core
+    host), so it is drawn on unramified quintic arcs of the smaller types
+    and on x y^3 - z^3 arcs at n <= 4, with orders (2, 3) at n <= 2 only.
     """
     tie_break = draw(st.sampled_from(["s_first", "lowest_index"]))
     seed = draw(st.integers(0, 2))
@@ -415,40 +415,76 @@ def test_lowest_index_takes_a_run_in_a_coordinate_chart():
 
 
 @pytest.mark.parametrize(
-    "arc, max_steps, corrupted, caught",
+    "arc, max_steps, seam, corrupted, caught",
     [
-        (monomial_arc((6, 6, 5)), None, 1, 5),  # center-0 run to step 4, next check at 5
-        (sampled_arc(1, 1, 0), None, 2, 5),  # translating step 5, checked at once
-        (monomial_arc((6, 6, 5)), 2, 1, 2),  # center-0 run cut by the budget
+        (monomial_arc((6, 6, 5)), None, "_advance", 1, 5),  # center-0 run to step 4, next check at 5
+        (sampled_arc(1, 1, 0), None, "_advance", 2, 5),  # translating step 5, checked at once
+        (monomial_arc((6, 6, 5)), 2, "_advance", 1, 2),  # center-0 run cut by the budget
+        (sampled_arc(1, 1, 0), None, "_recenter", 2, 6),  # translate at step 5, next check at 6
     ],
-    ids=["center-0-step", "translating-step", "final-state"],
+    ids=["center-0-step", "translating-step", "final-state", "translate"],
 )
 def test_deferred_check_catches_a_corrupted_state(
-    monkeypatch, arc, max_steps, corrupted, caught
+    monkeypatch, arc, max_steps, seam, corrupted, caught
 ):
-    """Add s^K (K >= multiplicity) to the state of one advance; see where it fails.
+    """Add s^K (K >= multiplicity) to the transform one seam returns; see where it fails.
 
-    ``corrupted`` counts the calls of ``blowup_step``, so the corruption
-    lands on whatever state the advance returns, a run or a single step.
+    ``corrupted`` counts the calls of the seam: ``_advance``, which returns a
+    run's untranslated transform, or ``_recenter``, which returns the
+    translate that the next run consumes.  ``caught`` is the step of the last
+    advance, so the corruption lands on whatever a run or a step left.
     """
-    taken = []
+    advance, recenter = arcinv.nash._advance, arcinv.nash._recenter
+    taken, recentered = [], []
 
-    def corrupting_step(state, tie_break, steps):
-        new_state, record = blowup_step(state, tie_break, steps)
+    def corrupt(state):
+        variables = state.transform.variables
+        terms = state.transform.terms
+        power = tuple(state.multiplicity + 40 if v == "s" else 0 for v in variables)
+        terms[power] = terms.get(power, 0) + 1
+        return dataclasses.replace(state, transform=Polynomial(variables, terms))
+
+    def corrupting_advance(state, tie_break, steps):
+        new_state, record = advance(state, tie_break, steps)
         taken.append(new_state.step)
-        if len(taken) == corrupted:
-            variables = new_state.transform.variables
-            terms = new_state.transform.terms
-            power = tuple(new_state.multiplicity + 40 if v == "s" else 0 for v in variables)
-            terms[power] = terms.get(power, 0) + 1
-            transform = Polynomial(variables, terms)
-            new_state = dataclasses.replace(new_state, transform=transform)
+        if seam == "_advance" and len(taken) == corrupted:
+            new_state = corrupt(new_state)
         return new_state, record
 
-    monkeypatch.setattr(arcinv.nash, "blowup_step", corrupting_step)
+    def corrupting_recenter(state, center):
+        new_state = recenter(state, center)
+        recentered.append(any(center))
+        if seam == "_recenter" and len(recentered) == corrupted:
+            assert any(center)
+            new_state = corrupt(new_state)
+        return new_state
+
+    monkeypatch.setattr(arcinv.nash, "_advance", corrupting_advance)
+    monkeypatch.setattr(arcinv.nash, "_recenter", corrupting_recenter)
     with pytest.raises(RuntimeError, match="left the strict transform"):
         nash_sequence(QUINTIC, arc, max_steps=max_steps, tie_break="s_first")
     assert taken[-1] == caught
+
+
+def test_no_translate_is_built_after_the_last_run(monkeypatch):
+    """The drop of sampled_arc(1, 1, 0) moves the center; it is read and checked untranslated."""
+    translated = []
+    translate = Polynomial.translate
+
+    def counting(self, point):
+        translated.append(point)
+        return translate(self, point)
+
+    monkeypatch.setattr(Polynomial, "translate", counting)
+    report = nash_sequence(QUINTIC, sampled_arc(1, 1, 0))
+    assert [run.step for run in report.runs if any(run.center)] == [5, 6]
+    assert translated == [report.runs[1].center]
+
+
+def test_lowest_index_reaches_ramification_50():
+    """rho = floor(n r) = 100 for r = 2 at n = 50, with every transform check exact."""
+    arc = sampled_arc(1, 0, 0).ramify(50)
+    assert nash_sequence(x2y3z6_surface(), arc, tie_break="lowest_index").rho == 100
 
 
 def test_blowup_step_refuses_a_multiplicity_above_the_transform_order():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from arcinv import polynomials
 from arcinv.arcs import Hypersurface, monomial_arc
-from arcinv.nash import nash_sequence, persistance
+from arcinv.errors import BudgetExhausted
+from arcinv.nash import blowup_step, init_directed, nash_sequence, persistance
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
 from arcinv.tseries import TPoly, TRational, _convolve
@@ -97,6 +98,39 @@ def test_evaluate_matches_translate_constant_term(p, point):
     subs = {s: sympy.Rational(a.numerator, a.denominator) for s, a in zip(SYMS, point)}
     constant = p.translate(point).constant_term
     assert to_sympy(p).subs(subs) == sympy.Rational(constant.numerator, constant.denominator)
+
+
+# Points with zero coordinates, and shifts back to the origin that put the
+# point on the zero set of the shifted polynomial at its order there.
+points = st.tuples(*[st.one_of(st.just(Fraction(0)), coeffs)] * 3)
+
+
+@settings(deadline=None)
+@given(polys, points, st.booleans())
+def test_the_taylor_read_is_the_order_of_the_translate(p, point, onto):
+    if onto:
+        p = p.translate(tuple(-c for c in point))
+    assert p.order_at(point) == p.translate(point).order_at_origin()
+
+
+def test_the_taylor_read_off_the_zero_set_and_at_a_singular_point():
+    p = Polynomial(("x", "y"), {(3, 0): 1, (2, 0): 1, (0, 2): -1})
+    assert p.order_at((Fraction(1, 2), 1)) == 0
+    assert p.order_at((0, 0)) == 2
+    assert p.order_at((-1, 0)) == 1
+    assert Polynomial(("x", "y"), {}).order_at((1, 1)) == math.inf
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        p.order_at((1,))
+
+
+def test_the_taylor_read_has_the_translate_cap():
+    """y^2 - x^2 + y^100000 - x^100000 at (1, 1) is refused before any coefficient is summed."""
+    k = 100000
+    p = Polynomial(("x", "y"), {(0, 2): 1, (2, 0): -1, (0, k): 1, (k, 0): -1})
+    with mock.patch.object(polynomials, "_compositions", side_effect=AssertionError):
+        for read in (p.order_at, p.translate):
+            with pytest.raises(BudgetExhausted, match=r"^the translate has size \d+, over 1000000000$"):
+                read((1, 1))
 
 
 @settings(deadline=None)
@@ -341,9 +375,11 @@ def test_the_scalars_of_the_values_leave_the_slot_width():
     """W of two dense pullbacks on x^2 y^3 - z^6, at most 2/3 of W with the scalars kept.
 
     With each value's scalar raised in every term, W is 181 for the membership
-    of sampled_arc(1, 0, 0) and 704 for the 92-term final check of
-    lowest_index along sampled_arc(1, 1, 0).  Folded into the coefficients,
-    the scalars share a gcd, which is divided out before W is taken.
+    of sampled_arc(1, 0, 0) and 704 for the 92-term transform that
+    lowest_index recenters at the drop along sampled_arc(1, 1, 0).  Folded
+    into the coefficients, the scalars share a gcd, which is divided out
+    before W is taken.  ``nash_sequence`` checks that drop before the
+    translate, on the untranslated transform, so it runs no 92-term pullback.
     """
     surface = x2y3z6_surface()
     at_power_of_two = mock.patch.object(
@@ -352,10 +388,18 @@ def test_the_scalars_of_the_values_leave_the_slot_width():
     with at_power_of_two as at:
         assert sampled_arc(1, 0, 0).lies_on(surface)
     assert max(call.args[1] for call in at.call_args_list) <= 181 * 2 / 3
+    state = init_directed(surface, sampled_arc(1, 1, 0))
+    while state.multiplicity == surface.multiplicity:
+        state, _ = blowup_step(state, "lowest_index", 100)
+    assert len(state.transform.terms) == 92
     with full_pullbacks() as (_, evaluated), at_power_of_two as at:
-        nash_sequence(surface, sampled_arc(1, 1, 0), tie_break="lowest_index")
-    assert len(evaluated.call_args_list[-1].args[0].terms) == 92
+        assert state.transform.compose_order(state.lifted) == math.inf
+    assert evaluated.call_count == 1
     assert at.call_args_list[-1].args[1] <= 704 * 2 / 3
+    with full_pullbacks() as (parts, evaluated):
+        nash_sequence(surface, sampled_arc(1, 1, 0), tie_break="lowest_index")
+    pulled = [call.args[0] for call in parts.call_args_list + evaluated.call_args_list]
+    assert pulled and all(len(p.terms) != 92 for p in pulled)
 
 
 def per_term_parts(p, values):
