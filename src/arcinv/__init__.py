@@ -51,7 +51,7 @@ from .qpers import (
     q_persistance,
 )
 from .rees import ReesAlgebra, diff_saturate
-from .tseries import TPoly, TRational
+from .tseries import TRational
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "QPersistanceResult",
     "ReesAlgebra",
     "ResolutionData",
-    "TPoly",
     "TRational",
     "blowup_step",
     "check_limit_identity",

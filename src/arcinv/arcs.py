@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .polynomials import Polynomial
-from .tseries import TPoly, TRational, is_exponent
+from .tseries import Coefficients, TRational, is_exponent
 
 
 class Hypersurface:
@@ -199,7 +199,7 @@ class MonomialParametrization:
                 "parametrization does not satisfy the hypersurface equation"
             )
 
-    def arc(self, parameters: Sequence[TPoly]) -> Arc:
+    def arc(self, parameters: Sequence[Coefficients]) -> Arc:
         """Substitute concrete series for the parameters."""
         if len(parameters) != self.parameter_count:
             raise PreconditionError("one series per parameter is required")
@@ -240,8 +240,5 @@ def sample_binomial_arc(
     if any(not is_exponent(o) or o < 1 for o in orders):
         raise PreconditionError("parameter orders must be positive integers")
     rng = random.Random(coeff_seed)
-    series = []
-    for order in orders:
-        coeffs = {order + k: _random_nonzero_fraction(rng) for k in range(4)}
-        series.append(TPoly(coeffs))
-    return param.arc(series)
+    return param.arc([{order + k: _random_nonzero_fraction(rng) for k in range(4)}
+                      for order in orders])

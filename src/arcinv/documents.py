@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .arcs import Arc, Hypersurface
 from .contact import ResolutionData
 from .errors import DocumentError, PreconditionError
 from .polynomials import Polynomial
-from .tseries import TPoly, TRational, is_exponent
+from .tseries import TRational, is_exponent
 
 
 def _is_int(x: Any) -> bool:
@@ -72,19 +72,19 @@ def _parse_terms(terms: Any, width: int) -> dict[tuple[int, ...], Fraction]:
     return collected
 
 
-def parse_tpoly(terms: Any) -> TPoly:
-    return TPoly({e: c for (e,), c in _parse_terms(terms, 1).items()})
+def _parse_series(terms: Any) -> dict[int, Fraction]:
+    return {e: c for (e,), c in _parse_terms(terms, 1).items()}
 
 
-def _to_terms(p: Polynomial | TPoly) -> list[dict[str, Any]]:
-    """The terms of either polynomial kind; a power of t is a one-entry exponent."""
+def _to_terms(items: Iterable[tuple[Any, Fraction]]) -> list[dict[str, Any]]:
+    """Terms from (exponent, coefficient) pairs; a power of t is a one-entry exponent."""
     return [
         {
             "coeff_num": c.numerator,
             "coeff_den": c.denominator,
             "exponents": list(e) if isinstance(e, tuple) else [e],
         }
-        for e, c in p.items()
+        for e, c in items
     ]
 
 
@@ -109,7 +109,7 @@ def hypersurface_to_doc(surface: Hypersurface) -> dict[str, Any]:
     return {
         "kind": "hypersurface",
         "variables": list(surface.variables),
-        "polynomial": _to_terms(surface.f),
+        "polynomial": _to_terms(surface.f.items()),
     }
 
 
@@ -120,8 +120,8 @@ def parse_arc(doc: Any) -> Arc:
     parsed = []
     for comp in components:
         _require(isinstance(comp, dict), "arc components must be objects")
-        num = parse_tpoly(comp.get("num"))
-        den = TPoly.one() if comp.get("den") is None else parse_tpoly(comp.get("den"))
+        num = _parse_series(comp.get("num"))
+        den = 1 if comp.get("den") is None else _parse_series(comp.get("den"))
         try:
             parsed.append(TRational(num, den))
         except (ValueError, ZeroDivisionError) as exc:
@@ -135,9 +135,9 @@ def parse_arc(doc: Any) -> Arc:
 def arc_to_doc(arc: Arc) -> dict[str, Any]:
     components = []
     for comp in arc.components:
-        entry: dict[str, Any] = {"num": _to_terms(comp.num)}
-        if comp.den != TPoly.one():
-            entry["den"] = _to_terms(comp.den)
+        entry: dict[str, Any] = {"num": _to_terms(comp.num.items())}
+        if comp.den != {0: 1}:
+            entry["den"] = _to_terms(comp.den.items())
         components.append(entry)
     return {"kind": "arc", "components": components}
 

@@ -18,9 +18,11 @@ heuristic gcd of Char, Geddes and Gonnet on the values at t = 2^k, which
 checking them makes exact (``_gcd_cofactors``); then one content division
 and one sign fix.  No polynomial division is ever taken.
 
-``TPoly`` is the input type: integer numerators over one positive
-denominator, in lowest terms, with no operators.  ``Polynomial`` keeps the
-same form keyed by exponent tuples, through the same private helpers.
+``TRational(num, den)`` takes each side as a coefficient map, from powers
+of t to scalars, or as one scalar; ``num`` and ``den`` read the pair back as
+such maps, over the monic denominator.  ``Polynomial`` keeps integer
+numerators over one positive denominator, keyed by exponent tuples, through
+the same private helpers.
 
 Only ``int`` and ``Fraction`` scalars are accepted (``exact``); a float or a
 bool is refused rather than read as a binary expansion or as 0/1.
@@ -33,6 +35,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
+Coefficients = Mapping[int, Scalar]  # a polynomial in t: coefficient by power
 Terms = dict[int, int]
 _UNIT: Terms = {0: 1}
 _NOT_A_SERIES = "denominator vanishes at t = 0; the quotient is not a power series"
@@ -57,6 +60,20 @@ def _lcm_form(terms: Mapping) -> tuple[Nums, int]:
     coeffs = {key: value for key, coeff in terms.items() if (value := exact(coeff))}
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return {key: c.numerator * den // c.denominator for key, c in coeffs.items()}, den
+
+
+def _integer_map(side: Coefficients | Scalar) -> tuple[Terms, int]:
+    """A coefficient map, or one scalar, as ``_lcm_form`` reads it; its powers checked."""
+    terms = side if isinstance(side, Mapping) else {0: side}
+    for power in terms:
+        if not is_exponent(power):
+            raise ValueError(f"invalid exponent {power!r} for a power of t")
+    return _lcm_form(terms)
+
+
+def _over(terms: Terms, den: int) -> dict[int, Fraction]:
+    """terms / den as Fraction coefficients, in increasing power."""
+    return {e: Fraction(c, den) for e, c in sorted(terms.items())}
 
 
 def _lowest(nums: Nums, den: int) -> tuple[Nums, int]:
@@ -99,65 +116,6 @@ def _format(terms: Iterable[tuple[str, Fraction]]) -> str:
         else:
             parts.append(f"{c}*{monomial}")
     return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
-class TPoly:
-    """Sparse polynomial in t with rational coefficients: the input type of arcs.
-
-    The coefficient of t^p is ``_nums[p] / _den``, with no zero numerators,
-    ``_den > 0`` and gcd(_den, *_nums.values()) = 1.  This form is unique.
-    It has no arithmetic: ``TRational`` computes on integer maps.
-    """
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        terms = terms or {}
-        for power in terms:
-            if not is_exponent(power):
-                raise ValueError(f"invalid exponent {power!r} for a power of t")
-        self._nums, self._den = _lcm_form(terms)
-
-    @classmethod
-    def _make(cls, nums: Terms, den: int = 1) -> TPoly:
-        """The polynomial with numerators nums over den, brought to lowest terms."""
-        poly = object.__new__(cls)
-        poly._nums, poly._den = _lowest(nums, den)
-        return poly
-
-    @classmethod
-    def one(cls) -> TPoly:
-        return cls._make({0: 1})
-
-    @classmethod
-    def constant(cls, value: Scalar) -> TPoly:
-        return cls({0: value})
-
-    def order(self) -> int | float:
-        """Vanishing order at t = 0; infinity for the zero polynomial."""
-        return min(self._nums) if self._nums else math.inf
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return [(p, Fraction(c, self._den)) for p, c in sorted(self._nums.items())]
-
-    @property
-    def integer_form(self) -> tuple[Terms, int]:
-        """(nums, den), t^p having coefficient nums[p] / den; read-only."""
-        return self._nums, self._den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TPoly):
-            return self._den == other._den and self._nums == other._nums
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._nums.items())))
-
-    def __str__(self) -> str:
-        return _format(({0: "", 1: "t"}.get(p, f"t^{p}"), c) for p, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"TPoly({dict(self.items())!r})"
 
 
 def _at_power_of_two(terms: Terms, k: int) -> int:
@@ -277,11 +235,9 @@ class TRational:
 
     __slots__ = ("_p", "_q")
 
-    def __init__(self, num: TPoly | Scalar, den: TPoly | Scalar = 1):
-        num = num if isinstance(num, TPoly) else TPoly.constant(num)
-        den = den if isinstance(den, TPoly) else TPoly.constant(den)
+    def __init__(self, num: Coefficients | Scalar, den: Coefficients | Scalar = 1):
         # num = n/a over den = d/b is (b*n)/(a*d).
-        (n, a), (d, b) = num.integer_form, den.integer_form
+        (n, a), (d, b) = _integer_map(num), _integer_map(den)
         self._p, self._q = _reduced({e: c * b for e, c in n.items()},
                                     {e: c * a for e, c in d.items()})
 
@@ -312,14 +268,14 @@ class TRational:
         return self._p, self._q
 
     @property
-    def num(self) -> TPoly:
-        """The numerator over the monic denominator ``den``."""
-        return TPoly._make(self._p, self._q[max(self._q)])
+    def num(self) -> dict[int, Fraction]:
+        """The numerator over the monic denominator ``den``, in increasing power."""
+        return _over(self._p, self._q[max(self._q)])
 
     @property
-    def den(self) -> TPoly:
-        """The denominator made monic; 1 for a polynomial."""
-        return TPoly._make(self._q, self._q[max(self._q)])
+    def den(self) -> dict[int, Fraction]:
+        """The denominator made monic, in increasing power; {0: 1} for a polynomial."""
+        return _over(self._q, self._q[max(self._q)])
 
     @property
     def is_zero(self) -> bool:
@@ -451,7 +407,7 @@ class TRational:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TRational):
             return self._p == other._p and self._q == other._q
-        if isinstance(other, (TPoly, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self == TRational(other)
         return NotImplemented
 
@@ -459,8 +415,9 @@ class TRational:
         return hash((frozenset(self._p.items()), frozenset(self._q.items())))
 
     def __str__(self) -> str:
-        num, den = self.num, self.den
-        return str(num) if den == TPoly.one() else f"({num})/({den})"
+        num, den = (_format(({0: "", 1: "t"}.get(e, f"t^{e}"), c) for e, c in view.items())
+                    for view in (self.num, self.den))
+        return num if den == "1" else f"({num})/({den})"
 
     def __repr__(self) -> str:
         return f"TRational({self.num!r}, {self.den!r})"

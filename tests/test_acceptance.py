@@ -17,7 +17,7 @@ from arcinv.nash import blowup_step, init_directed, nash_sequence
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
 from arcinv.rees import diff_saturate
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TRational
 from arcinv.verify import (
     check_center_order,
     check_delta_envelope,
@@ -96,8 +96,8 @@ def plane_binomial_cases(draw):
     surface = Hypersurface(Polynomial(("x", "y"), {(p, 0): 1, (0, q): -1}))
     arc = Arc(
         [
-            TRational(TPoly({q * k: a**q})),
-            TRational(TPoly({p * k: a**p})),
+            TRational({q * k: a**q}),
+            TRational({p * k: a**p}),
         ]
     )
     return surface, arc

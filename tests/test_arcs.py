@@ -13,7 +13,7 @@ from arcinv.arcs import (
 )
 from arcinv.errors import PreconditionError
 from arcinv.polynomials import Polynomial
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TRational
 
 XYZ = ("x", "y", "z")
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
@@ -143,7 +143,7 @@ def test_parametrization_identity_rejected():
 
 def test_parametrization_builds_arcs():
     par = MonomialParametrization([(3, 0, 1), (0, 2, 1)])
-    arc = par.arc([TPoly({1: 1}), TPoly({1: 1})])
+    arc = par.arc([{1: 1}, {1: 1}])
     assert arc == monomial_arc((3, 2, 2))
 
 

@@ -23,7 +23,7 @@ from arcinv.nash import (
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
 from arcinv.rees import ReesAlgebra, diff_order, diff_saturate
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TRational
 from arcinv.verify import corpus, sampled_arc, x2y3z6_parametrization, x2y3z6_surface
 from test_tseries import plus, times
 
@@ -194,7 +194,7 @@ def test_unknown_tiebreak_rejected_on_a_trapped_arc_too():
 
 def _on_quintic(u, v):
     """The arc (u^3, v^2, u v) on QUINTIC, for u, v given by coefficient lists."""
-    return x2y3z6_parametrization().arc([TPoly(dict(enumerate(c))) for c in (u, v)])
+    return x2y3z6_parametrization().arc([dict(enumerate(c)) for c in (u, v)])
 
 
 # x y^3 - z^3 with x = u^3, y = v, z = u v.  Its sampled arcs have r = 3/2 or
@@ -225,7 +225,7 @@ series = st.one_of(
     st.just(ZERO),
     st.builds(
         lambda order, coeffs, c: TRational(
-            TPoly({order + k: a for k, a in enumerate(coeffs)}), TPoly({0: 1, 1: c})
+            {order + k: a for k, a in enumerate(coeffs)}, {0: 1, 1: c}
         ),
         st.integers(1, 2),
         st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda cs: cs[0]),
@@ -288,7 +288,7 @@ def perturbed_states(draw):
     surface, arc = draw(st.sampled_from(ARCS_ON_SURFACES))
     n = draw(st.integers(2, 10))
     deltas = [
-        TPoly({n + k: c for k, c in enumerate(draw(st.lists(st.integers(-3, 3), max_size=2)))})
+        {n + k: c for k, c in enumerate(draw(st.lists(st.integers(-3, 3), max_size=2)))}
         for _ in arc.components
     ]
     # gamma + t^N delta = (num + t^N delta den) / den for gamma = num / den.

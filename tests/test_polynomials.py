@@ -16,7 +16,7 @@ from arcinv.errors import BudgetExhausted
 from arcinv.nash import blowup_step, init_directed, nash_sequence, persistance
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
-from arcinv.tseries import TPoly, TRational, _convolve
+from arcinv.tseries import TRational, _convolve
 from arcinv.verify import sampled_arc, x2y3z6_surface
 
 VARS = ("x", "y", "z")
@@ -29,7 +29,7 @@ polys = st.dictionaries(exponents, coeffs, max_size=6).map(
     lambda terms: Polynomial(VARS, terms)
 )
 
-small_tpolys = st.dictionaries(st.integers(0, 4), coeffs, max_size=3).map(TPoly)
+small_t_maps = st.dictionaries(st.integers(0, 4), coeffs, max_size=3)
 
 
 def to_sympy(p: Polynomial):
@@ -42,9 +42,9 @@ def to_sympy(p: Polynomial):
     return sympy.expand(total)
 
 
-def tpoly_to_sympy(p: TPoly):
+def t_map_to_sympy(p: dict):
     return sum(
-        (sympy.Rational(c.numerator, c.denominator) * T**e for e, c in p.items()),
+        (sympy.Rational(*Fraction(c).as_integer_ratio()) * T**e for e, c in p.items()),
         sympy.Integer(0),
     )
 
@@ -134,38 +134,38 @@ def test_the_taylor_read_has_the_translate_cap():
 
 
 @settings(deadline=None)
-@given(polys, small_tpolys, small_tpolys, small_tpolys)
+@given(polys, small_t_maps, small_t_maps, small_t_maps)
 def test_compose_with_polynomials_matches_sympy(p, a, b, c):
     values = [TRational(a), TRational(b), TRational(c)]
     got = p.compose(values)
-    assert got.den == TPoly.one()
-    subs = {s: tpoly_to_sympy(q) for s, q in zip(SYMS, (a, b, c))}
+    assert got.den == {0: 1}
+    subs = {s: t_map_to_sympy(q) for s, q in zip(SYMS, (a, b, c))}
     expected = sympy.expand(to_sympy(p).subs(subs, simultaneous=True))
-    assert sympy.expand(tpoly_to_sympy(got.num)) == expected
+    assert sympy.expand(t_map_to_sympy(got.num)) == expected
 
 
 # Quotients n/d with rational coefficients and d(0) != 0, d not monic: the
 # canonical den is then monic with fractional coefficients, so both scalars
 # of the integer form (a of n, b of d) differ from 1.
-unit_tpolys = st.tuples(
+unit_maps = st.tuples(
     coeffs.filter(bool), st.dictionaries(st.integers(1, 2), coeffs, max_size=2)
-).map(lambda pair: TPoly({0: pair[0], **pair[1]}))
-quotients = st.tuples(small_tpolys, unit_tpolys).map(lambda nd: TRational(*nd))
+).map(lambda pair: {0: pair[0], **pair[1]})
+quotients = st.tuples(small_t_maps, unit_maps).map(lambda nd: TRational(*nd))
 low_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=4
 ).map(lambda terms: Polynomial(VARS, terms))
-zero_value = TRational(TPoly())
+zero_value = TRational({})
 
 # Numerators over 200 bits (2^203 or more, over at most 6), so that the slot
 # width of the evaluation at t = 2^W must count the coefficients' bits.
 wide_coeffs = st.tuples(st.integers(2**203, 2**230), st.sampled_from((-1, 1)), st.integers(1, 6))
 some_coeffs = st.one_of(coeffs, wide_coeffs.map(lambda nsd: Fraction(nsd[0] * nsd[1], nsd[2])))
-wide_tpolys = st.dictionaries(st.integers(0, 4), some_coeffs, max_size=3).map(TPoly)
+wide_t_maps = st.dictionaries(st.integers(0, 4), some_coeffs, max_size=3)
 wide_polys = st.one_of(
     st.just(Polynomial(VARS, {})),
     st.dictionaries(exponents, some_coeffs, max_size=6).map(lambda terms: Polynomial(VARS, terms)),
 )
-wide_values = st.one_of(st.just(zero_value), wide_tpolys.map(TRational), quotients)
+wide_values = st.one_of(st.just(zero_value), wide_t_maps.map(TRational), quotients)
 
 # u = s n/d with n dense from order 1 or 2 on, as sample_binomial_arc builds
 # it, d constant or not, and s a scalar of about 60 bits over about 60 bits,
@@ -176,9 +176,9 @@ scalars = st.tuples(
 ).map(lambda nsd: Fraction(nsd[0] * nsd[1], nsd[2]))
 dense_quotients = st.tuples(
     st.integers(1, 2), st.lists(some_coeffs.filter(bool), min_size=4, max_size=4), scalars,
-    st.one_of(st.just(TPoly.one()), unit_tpolys),
+    st.one_of(st.just({0: 1}), unit_maps),
 ).map(lambda parts: TRational(
-    TPoly({parts[0] + k: parts[2] * c for k, c in enumerate(parts[1])}), parts[3]
+    {parts[0] + k: parts[2] * c for k, c in enumerate(parts[1])}, parts[3]
 ))
 
 
@@ -202,10 +202,10 @@ binomial_pullbacks = st.builds(
 @settings(deadline=None)
 @given(low_polys, st.tuples(quotients, quotients, quotients))
 def test_compose_of_quotients_matches_sympy(p, values):
-    subs = {s: tpoly_to_sympy(v.num) / tpoly_to_sympy(v.den) for s, v in zip(SYMS, values)}
+    subs = {s: t_map_to_sympy(v.num) / t_map_to_sympy(v.den) for s, v in zip(SYMS, values)}
     expected = sympy.cancel(to_sympy(p).subs(subs, simultaneous=True))
     got = p.compose(values)
-    assert sympy.cancel(tpoly_to_sympy(got.num) / tpoly_to_sympy(got.den) - expected) == 0
+    assert sympy.cancel(t_map_to_sympy(got.num) / t_map_to_sympy(got.den) - expected) == 0
     num = sympy.fraction(expected)[0]
     order = math.inf if num == 0 else min(k for (k,) in sympy.Poly(num, T).monoms())
     assert p.compose_order(values) == order
@@ -215,8 +215,8 @@ def leading_term(value):
     """(o, l) with value = l t^o + higher powers; None for the zero function."""
     if value.is_zero:
         return None
-    (o, c), (_, d0) = value.num.items()[0], value.den.items()[0]
-    return o, c / d0
+    o = min(value.num)
+    return o, value.num[o] / value.den[0]
 
 
 def cancelled_at_the_lowest_weight(p, values, classes=1):
@@ -259,12 +259,12 @@ def cancelled_at_the_lowest_weight(p, values, classes=1):
 
 
 # Two nonzero quotients and one value that may be zero, in any order.
-live_tpolys = st.tuples(
+live_t_maps = st.tuples(
     st.dictionaries(st.integers(0, 4), coeffs, max_size=2), st.integers(0, 4), coeffs.filter(bool)
-).map(lambda parts: TPoly({**parts[0], parts[1]: parts[2]}))
-live_quotients = st.tuples(live_tpolys, unit_tpolys).map(lambda nd: TRational(*nd))
+).map(lambda parts: {**parts[0], parts[1]: parts[2]})
+live_quotients = st.tuples(live_t_maps, unit_maps).map(lambda nd: TRational(*nd))
 mixed_values = st.tuples(
-    live_quotients, live_quotients, st.one_of(st.just(TRational(TPoly())), quotients)
+    live_quotients, live_quotients, st.one_of(st.just(TRational({})), quotients)
 ).flatmap(st.permutations)
 
 
@@ -278,10 +278,10 @@ cancellations = st.tuples(low_wide_polys.filter(bool), mixed_values).map(
 # l t^o, with o in 0..3 so that weights collide, and l t^o / (1 + c t^k),
 # which starts the same but is not one term; the lowest one or two classes cancel.
 term_values = st.builds(
-    lambda o, l: TRational(TPoly({o: l})), st.integers(0, 3), some_coeffs.filter(bool)
+    lambda o, l: TRational({o: l}), st.integers(0, 3), some_coeffs.filter(bool)
 )
 over_units = st.builds(
-    lambda o, l, k, c: TRational(TPoly({o: l}), TPoly({0: 1, k: c})),
+    lambda o, l, k, c: TRational({o: l}, {0: 1, k: c}),
     st.integers(0, 3), some_coeffs.filter(bool), st.integers(1, 2), some_coeffs.filter(bool),
 )
 class_values = st.tuples(
@@ -339,7 +339,7 @@ def test_compose_order_after_a_cancellation_of_the_leading_form(pullback):
 def test_a_zero_factor_in_every_term_runs_no_full_pullback():
     """x^200 y + x z^3 along (0, t + t^2, 2t): each term vanishes, with no numerator built."""
     q = Polynomial(VARS, {(200, 1, 0): 1, (1, 0, 3): 5})
-    values = (TRational(TPoly()), TRational(TPoly({1: 1, 2: 1})), TRational(TPoly({1: 2})))
+    values = (TRational({}), TRational({1: 1, 2: 1}), TRational({1: 2}))
     with full_pullbacks() as (parts, evaluated):
         assert q.compose_order(values) == math.inf
     assert parts.call_count + evaluated.call_count == 0

@@ -22,7 +22,7 @@ from arcinv.errors import BudgetExhausted, NotInSingularLocus, PreconditionError
 from arcinv.polynomials import Polynomial
 from arcinv.qpers import q_persistance
 from arcinv.rees import _TERM_BITS, ReesAlgebra, _presentation_size, diff_order, diff_saturate
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TRational
 from arcinv.verify import sampled_arc, x2y3z6_surface
 
 XYZ = ("x", "y", "z")
@@ -208,7 +208,7 @@ series = st.one_of(
     st.just(TRational.zero()),
     st.builds(
         lambda order, coeffs, d0, d1: TRational(
-            TPoly({order + k: c for k, c in enumerate(coeffs)}), TPoly({0: d0, 1: d1})
+            {order + k: c for k, c in enumerate(coeffs)}, {0: d0, 1: d1}
         ),
         st.integers(1, 3),
         st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3).filter(

@@ -1,12 +1,12 @@
 """No export, and no arithmetic operator, that only the tests use.
 
 Every name in ``arcinv.__all__``, and every public method or property of
-``TPoly``, ``TRational`` and ``Polynomial``, must be referenced somewhere in
+``TRational`` and ``Polynomial``, must be referenced somewhere in
 ``src/``, ``scripts/`` or ``bench/`` other than its own definition.  A
 reference is any name or attribute node with that name, so a method is kept
 alive by any same-named attribute; the re-exports of ``arcinv/__init__.py``
 do not count.  Operators carry no name to search for, so every arithmetic
-operator the three classes define must instead be called while the program
+operator the two classes define must instead be called while the program
 runs its verify suites and the bundled command-line examples.
 """
 
@@ -19,7 +19,7 @@ from test_cli import BUNDLED_EXAMPLES, DATA
 import arcinv
 from arcinv.cli import main
 from arcinv.polynomials import Polynomial
-from arcinv.tseries import TPoly, TRational
+from arcinv.tseries import TRational
 from arcinv.verify import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +53,7 @@ def program_references() -> set[str]:
 def public_surface() -> dict[str, str]:
     """Label -> the name a use would carry."""
     surface = {name: name for name in arcinv.__all__}
-    for cls in (TPoly, TRational, Polynomial):
+    for cls in (TRational, Polynomial):
         for name, value in vars(cls).items():
             routine = isinstance(value, (property, classmethod)) or inspect.isfunction(value)
             if routine and not name.startswith("_"):
@@ -77,7 +77,7 @@ OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"
 def test_every_arithmetic_operator_is_used_by_the_program(monkeypatch, capsys):
     called = set()
     defined = set()
-    for cls in (TPoly, TRational, Polynomial):
+    for cls in (TRational, Polynomial):
         for name in OPERATORS:
             if name not in vars(cls):
                 continue
