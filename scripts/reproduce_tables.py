@@ -17,7 +17,7 @@ from arcinv.cli import build_parser, run, stdout_closed
 from arcinv.contact import (
     delta_limit_check,
     fat_components,
-    rbar_extrema,
+    outside_bounds,
     rbar_of_multiindex,
     sample_multiindices,
     values_bounds,
@@ -70,8 +70,7 @@ def odd_levels() -> None:
 def bounds_report() -> None:
     data = x2y3z6_resolution()
     lower, upper = values_bounds(data)
-    observed = rbar_extrema(data, sample_multiindices(data, SAMPLES, BOX, SEED))
-    inside = lower <= observed.minimum and observed.maximum <= upper
+    inside = not outside_bounds(data, sample_multiindices(data, SAMPLES, BOX, SEED))
     print(
         f"\nexact bounds [{format_rational(lower)}, {format_rational(upper)}]; "
         f"{SAMPLES} samples (seed {SEED}) inside: {inside}"

@@ -35,6 +35,7 @@ from .arcs import Arc, Hypersurface
 from .contact import (
     delta_limit_check,
     fat_components,
+    outside_bounds,
     rbar_extrema,
     rbar_of_multiindex,
     sample_multiindices,
@@ -190,7 +191,7 @@ def _cmd_bounds(job: argparse.Namespace) -> Outcome:
     samples, seed, bound = job.samples, job.seed, job.bound
     drawn = sample_multiindices(data, samples, bound, seed)
     observed = rbar_extrema(data, drawn)
-    inside = lower <= observed.minimum and observed.maximum <= upper
+    inside = not outside_bounds(data, drawn)
     result = {
         "command": "bounds", "lower": lower, "upper": upper,
         "samples": samples, "seed": seed, "bound": bound, "all_inside": inside,

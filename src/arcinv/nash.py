@@ -18,7 +18,8 @@ One blow-up step, in coordinates:
   t-order (ties: s under ``s_first``, else the lowest index),
 * equation: substitute x_j -> x_j * u for every j other than the chart
   variable u and divide by u^m, i.e. map each exponent e to e' with
-  e'_u = |e| - m; exact because m is the order of the transform (checked),
+  e'_u = |e| - m; exact and strict, as ``_advance`` refuses a transform
+  whose order at the origin is not m (below m, or raised by a translate),
 * arc: divide every other component by the chart component; regularity at
   t = 0 is guaranteed by the chart choice,
 * center: the lifted arc delta now passes through c = delta(0), and the
@@ -198,16 +199,16 @@ def _advance(
     m = state.multiplicity
     variables = state.transform.variables
     order = state.transform.order_at_origin()
-    if order < m:
+    if order != m:
         raise RuntimeError(
-            "strict transform division is not exact; multiplicity bookkeeping broke"
+            f"order {order} is not the multiplicity {m}: strict transform division is not exact"
         )
     others = orders[:chart] + orders[chart + 1 :]
     bounds = [steps] + [(o - 1) // lowest for o in others if o != math.inf]
     for e in state.transform.integer_form[0]:
         if (a := sum(e) - e[chart]) < m:
             bounds.append((sum(e) - m) // (m - a) + 1)
-    k = max(1, min(bounds)) if order == m else 1
+    k = max(1, min(bounds))
     transform = state.transform._map_exponents(
         lambda e: e[:chart] + (e[chart] + k * (sum(e) - e[chart] - m),) + e[chart + 1 :]
     )

@@ -167,18 +167,11 @@ class Polynomial:
 
     @classmethod
     def _make(cls, variables: tuple[str, ...], nums: dict, den: int = 1) -> Polynomial:
-        """The polynomial with numerators nums over den, brought to lowest terms."""
+        """The polynomial with numerators nums over den > 0, brought to lowest terms."""
         poly = object.__new__(cls)
         poly._variables = variables
         poly._nums, poly._den = _lowest(nums, den)
         return poly
-
-    @classmethod
-    def coordinate(cls, variables: Sequence[str], name: str) -> Polynomial:
-        variables = tuple(variables)
-        index = variables.index(name)
-        exponent = tuple(1 if i == index else 0 for i in range(len(variables)))
-        return cls(variables, {exponent: 1})
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -474,10 +467,9 @@ class Polynomial:
         for an integer m, and 0 < |a_o| < 2^W gives v_2(a_o) < W: hence v != 0
         and v_2(v) = oW + v_2(a_o), whose quotient by W is o.  So v = 0
         exactly when num = 0, and ord num = v_2(v) // W otherwise.  This is a
-        proof, not a probabilistic test: the zero check stays exact.
+        proof, not a probabilistic test: the zero check stays exact.  The
+        polynomial is nonzero: ``compose_order`` has returned for zero.
         """
-        if not self._nums:
-            return math.inf
         columns = list(zip(*self._nums))
         tops = [max(column) for column in columns]
         parts, folds = [], []

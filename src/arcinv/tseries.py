@@ -11,8 +11,9 @@ ever truncated, so all downstream order computations are exact.
 ``TRational`` stores one pair of integer maps (p, q), from powers of t to
 coefficients, in canonical form: gcd(p, q) = 1 in Q[t], q(0) != 0, joint
 content 1, lc(q) > 0, and zero as 0/1.  The form is unique, so structural
-equality is mathematical equality.  Every operator cancels with
-``_cancel``: when one side is a single term c*t^k the gcd is
+equality is mathematical equality; ``==`` compares ``TRational``s only.
+Products and quotients cancel with ``_cancel`` (the quotient by t^k only
+shifts exponents): when one side is a single term c*t^k the gcd is
 t^min(orders), an exponent shift; otherwise the cofactors come from the
 heuristic gcd of Char, Geddes and Gonnet on the values at t = 2^k, which
 checking them makes exact (``_gcd_cofactors``); then one content division
@@ -77,10 +78,8 @@ def _over(terms: Terms, den: int) -> dict[int, Fraction]:
 
 
 def _lowest(nums: Nums, den: int) -> tuple[Nums, int]:
-    """nums / den with no zero numerators, den > 0 and gcd(den, *nums) = 1."""
+    """nums / den, for den > 0, with no zero numerators and gcd(den, *nums) = 1."""
     nums = {key: c for key, c in nums.items() if c}
-    if den < 0:
-        nums, den = {key: -c for key, c in nums.items()}, -den
     g = math.gcd(den, *nums.values()) if den != 1 else 1
     if g != 1:
         nums, den = {key: c // g for key, c in nums.items()}, den // g
@@ -230,7 +229,8 @@ class TRational:
 
     The pair is canonical: gcd(p, q) = 1 in Q[t], q(0) != 0, the
     coefficients of p and q together have gcd 1, lc(q) > 0, and zero is 0/1.
-    This form is unique, so ``==`` and ``hash`` compare the stored maps.
+    This form is unique, so ``==`` and ``hash`` compare the stored maps, and
+    a scalar equals no ``TRational``.
     """
 
     __slots__ = ("_p", "_q")
@@ -356,9 +356,9 @@ class TRational:
         factors that can cancel are g1 = gcd(a, p) and g2 = gcd(q, b), so
         (a/g1)(q/g2) / (b/g2)(p/g1) is canonical as in ``__mul__``.  It is a
         power series iff (p/g1)(0) != 0, i.e. iff the divisor's order at t = 0
-        is at most the dividend's.  A divisor (c/d)*t^k of such order gives
-        d*(a/t^k) over c*b: a pure exponent shift when c = d = 1, else one
-        content division and one sign fix.
+        is at most the dividend's.  By t^k of such order it is a/t^k over b,
+        canonical as it stands; any other divisor, c/d*t^k included, takes
+        the cross-cancelling route.
         """
         if not isinstance(other, TRational):
             return NotImplemented
@@ -366,12 +366,9 @@ class TRational:
             raise ZeroDivisionError("zero denominator")
         if self.is_zero:
             return self
-        if other._is_term() and min(self._p) >= min(other._p):
-            ((k, c),), d = other._p.items(), other._q[0]
-            if c == d == 1:
-                return TRational._canonical(_shift(self._p, k), self._q)
-            p = {e - k: v * d for e, v in self._p.items()}
-            return TRational._canonical(*_normal(p, {e: v * c for e, v in self._q.items()}))
+        k = min(other._p)
+        if other._p == {k: 1} and other._q == _UNIT and k <= min(self._p):
+            return TRational._canonical(_shift(self._p, k), self._q)
         a, p = _cancel(self._p, other._p)
         q, b = _cancel(other._q, self._q)
         if 0 not in p:
@@ -405,11 +402,9 @@ class TRational:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TRational):
-            return self._p == other._p and self._q == other._q
-        if isinstance(other, (int, Fraction)):
-            return self == TRational(other)
-        return NotImplemented
+        if not isinstance(other, TRational):
+            return NotImplemented
+        return self._p == other._p and self._q == other._q
 
     def __hash__(self) -> int:
         return hash((frozenset(self._p.items()), frozenset(self._q.items())))

@@ -267,7 +267,7 @@ PARAMETRIZATION = [(3, 0, 1), (0, 2, 1)]
         lambda: ResolutionData.of((1, 3), [((3, 3), True)]),
         lambda: ResolutionData.of((1, 3), [((3, 3), 1)], [(True, 3), (2, 4)]),
         lambda: rbar_of_multiindex(EXAMPLE, (True, 1)),
-        lambda: ReesAlgebra([(Polynomial.coordinate(XYZ, "x"), True)]),
+        lambda: ReesAlgebra([(Polynomial(XYZ, {(1, 0, 0): 1}), True)]),
         lambda: MonomialParametrization([(3, 0, True), (0, 2, 1)]),
         lambda: sample_binomial_arc(QUINTIC, PARAMETRIZATION, (True, 1), 0),
     ],

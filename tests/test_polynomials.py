@@ -66,7 +66,7 @@ def test_order_at_origin():
 
 
 def test_coordinate_and_monomial():
-    x, y = (Polynomial.coordinate(VARS, name) for name in "xy")
+    x, y = (Polynomial(VARS, {e: 1}) for e in [(1, 0, 0), (0, 1, 0)])
     assert x.items() == [((1, 0, 0), Fraction(1))]
     assert y.items() == [((0, 1, 0), Fraction(1))]
     m = Polynomial(VARS, {(1, 2, 0): Fraction(6, 2)})

@@ -9,6 +9,7 @@ presentation pulled back along an arc is in turn the oracle for
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from arcinv.tseries import TRational
 from arcinv.verify import sampled_arc, x2y3z6_surface
 
 XYZ = ("x", "y", "z")
+X = Polynomial(XYZ, {(1, 0, 0): 1})
+Y = Polynomial(XYZ, {(0, 1, 0): 1})
 QUINTIC = Hypersurface(Polynomial(XYZ, {(2, 3, 0): 1, (0, 0, 6): -1}))
 CUSP = Hypersurface(Polynomial(("x", "y"), {(2, 0): 1, (0, 3): -1}))
 NODE = Hypersurface(Polynomial(("x", "y"), {(1, 1): 1}))
@@ -103,8 +106,8 @@ def test_ord_at_center():
     assert diff_saturate(CUSP).ord_at_center() == 1
     hand = ReesAlgebra(
         [
-            (Polynomial.coordinate(XYZ, "x"), 1),
-            (Polynomial.coordinate(XYZ, "y"), 1),
+            (X, 1),
+            (Y, 1),
             (Polynomial(XYZ, {(0, 0, 6): 1}), 5),
         ]
     )
@@ -112,7 +115,7 @@ def test_ord_at_center():
 
 
 def test_ord_at_center_rejects_points_outside_the_locus():
-    algebra = ReesAlgebra([(Polynomial.coordinate(XYZ, "x"), 2)])
+    algebra = ReesAlgebra([(X, 2)])
     with pytest.raises(NotInSingularLocus):
         algebra.ord_at_center()
 
@@ -133,14 +136,14 @@ def test_ord_along_arc_fractional():
 
 
 def test_ord_along_arc_infinite_inside_the_locus():
-    algebra = ReesAlgebra([(Polynomial.coordinate(("x", "y"), "x"), 1)])
+    algebra = ReesAlgebra([(Polynomial(("x", "y"), {(1, 0): 1}), 1)])
     arc = Arc([TRational.zero(), TRational.t()])
     assert algebra.ord_along_arc(arc) == math.inf
 
 
 def test_ord_along_arc_in_weight_one_is_the_contact_order():
     arc = monomial_arc((3, 2, 2))
-    coordinates = ReesAlgebra([(Polynomial.coordinate(XYZ, v), 1) for v in XYZ])
+    coordinates = ReesAlgebra([(X, 1), (Y, 1), (Polynomial(XYZ, {(0, 0, 1): 1}), 1)])
     assert coordinates.ord_along_arc(arc) == 2
     assert ReesAlgebra([(QUINTIC.f, 1)]).ord_along_arc(arc) == math.inf
 
@@ -154,8 +157,8 @@ def test_ord_along_arc_checks_variables():
 def test_presentations_agree_on_arc_orders():
     hand = ReesAlgebra(
         [
-            (Polynomial.coordinate(XYZ, "x"), 1),
-            (Polynomial.coordinate(XYZ, "y"), 1),
+            (X, 1),
+            (Y, 1),
             (Polynomial(XYZ, {(0, 0, 6): 1}), 5),
         ]
     )
@@ -167,7 +170,7 @@ def test_presentations_agree_on_arc_orders():
 
 def test_generator_weights_must_be_positive():
     with pytest.raises(PreconditionError):
-        ReesAlgebra([(Polynomial.coordinate(XYZ, "x"), 0)])
+        ReesAlgebra([(X, 0)])
 
 
 def test_weight_five_generator_produces_fractional_orders():
@@ -275,6 +278,23 @@ def test_diff_order_refuses_as_diff_saturate_does():
         assert str(reading.value) == str(saturating.value)
     with pytest.raises(PreconditionError, match="arc does not match the ambient variables"):
         diff_order(QUINTIC, monomial_arc((None, 1)))
+
+
+def test_diff_order_keeps_its_bounds_small():
+    """x^8306 along (t, t): weights 1 to 8,305, whose lcm has about 12,000 bits.
+
+    Bounds compared by cross-multiplication stay small integer pairs; one
+    common scale of that lcm made every sort key as wide, for a 16.4 MB peak.
+    """
+    surface = Hypersurface(Polynomial(("x", "y"), {(8306, 0): 1}))
+    arc = monomial_arc((1, 1))
+    tracemalloc.start()
+    try:
+        assert diff_order(surface, arc) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_q_persistance_builds_no_presentation_on_a_sampled_arc(monkeypatch):

@@ -31,8 +31,6 @@ ALLOWED = {
     "the tests use it as the oracle for the minimality of fat components",
     "Polynomial.compose": "the pullback f(gamma(t)) as a canonical quotient, whose order "
     "the program reads through compose_order; the sympy oracles check that order through it",
-    "Polynomial.coordinate": "the coordinate function x_i of the ring; the tests build the "
-    "generators of their Rees algebras from it",
 }
 
 

@@ -295,6 +295,24 @@ def test_trational_canonical_form():
     assert v.den == ONE
 
 
+def test_equality_compares_trationals_only():
+    # A scalar is not a TRational: == falls back to identity and raises nothing.
+    one = TRational.one()
+    assert (one == True) is False  # noqa: E712
+    assert one not in [True, 1]
+    assert one != Fraction(1) and TRational.zero() != 0
+
+
+@given(trationals, unit_maps)
+def test_equal_values_hash_equal(v, common):
+    same = TRational(times(v.num, common), times(v.den, common))
+    values = [v, same, TRational.one(), TRational.zero(), 0, 1, Fraction(1), True]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y)
+
+
 def test_trational_rejects_vanishing_denominator():
     with pytest.raises(ValueError):
         TRational(ONE, {1: 1})
